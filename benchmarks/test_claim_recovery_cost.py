@@ -2,14 +2,14 @@
 
 §2.2 contrasts the strategies' behaviour after a failure: optimistic
 recovery compensates and resumes; rollback restores the last checkpoint
-and re-executes from there; restart (and lineage, which degenerates to a
-restart for iterative jobs) pays a full re-run.
+and re-executes from there; restart pays a full re-run. Lineage recovery
+has no rows of its own: with a reducer in every superstep it *is* a
+restart (§2.2), which the footnote under each table records.
 
 Expected shapes:
 
-* optimistic beats restart/lineage everywhere, and the gap widens the
-  later the failure strikes (a restart wastes all prior supersteps);
-* restart and lineage are indistinguishable;
+* optimistic beats restart everywhere, and the gap widens the later the
+  failure strikes (a restart wastes all prior supersteps);
 * rollback sits between: cheap recovery, but it pre-paid checkpoint I/O
   while failure-free — and for delta-iterative Connected Components the
   compensation converges so quickly that optimistic wins outright;
@@ -26,7 +26,7 @@ from repro.algorithms import (
 )
 from repro.analysis import Table
 from repro.config import EngineConfig
-from repro.core import CheckpointRecovery, LineageRecovery, RestartRecovery
+from repro.core import CheckpointRecovery, RestartRecovery
 from repro.graph import twitter_like_graph
 from repro.runtime import FailureSchedule
 
@@ -35,13 +35,18 @@ from .conftest import run_once
 CONFIG = EngineConfig(parallelism=4, spare_workers=8)
 GRAPH_SIZE = 600
 
+LINEAGE_FOOTNOTE = (
+    "note: lineage recovery (§2.2) is the restart rows — every superstep "
+    "contains a reducer, so a lost partition depends on all partitions of "
+    "the previous superstep and lineage re-computation is a restart."
+)
+
 
 def _strategies(job):
     return [
         ("optimistic", job.optimistic()),
         ("checkpoint(k=2)", CheckpointRecovery(interval=2)),
         ("restart", RestartRecovery()),
-        ("lineage", LineageRecovery()),
     ]
 
 
@@ -64,7 +69,7 @@ def _table(title, results, failure_supersteps):
         title=title,
     )
     for failure_superstep in failure_supersteps:
-        for name in ("optimistic", "checkpoint(k=2)", "restart", "lineage"):
+        for name in ("optimistic", "checkpoint(k=2)", "restart"):
             result = results[(failure_superstep, name)]
             breakdown = result.cost_breakdown()
             table.add_row(
@@ -75,7 +80,7 @@ def _table(title, results, failure_supersteps):
                 breakdown.get("restore_io", 0.0),
                 breakdown.get("compensation", 0.0),
             )
-    return table
+    return f"{table}\n{LINEAGE_FOOTNOTE}"
 
 
 def test_c2_pagerank_recovery_cost(benchmark, report):
@@ -88,12 +93,10 @@ def test_c2_pagerank_recovery_cost(benchmark, report):
         ),
     )
     report(
-        str(
-            _table(
-                f"C2 — PageRank under one failure, Twitter-like n={GRAPH_SIZE}",
-                results,
-                failure_supersteps,
-            )
+        _table(
+            f"C2 — PageRank under one failure, Twitter-like n={GRAPH_SIZE}",
+            results,
+            failure_supersteps,
         )
     )
     truth = exact_pagerank(graph)
@@ -101,11 +104,6 @@ def test_c2_pagerank_recovery_cost(benchmark, report):
         assert result.converged
         for vertex, rank in result.final_dict.items():
             assert rank == pytest.approx(truth[vertex], abs=1e-6)
-    for failure_superstep in failure_supersteps:
-        restart = results[(failure_superstep, "restart")]
-        lineage = results[(failure_superstep, "lineage")]
-        assert restart.supersteps == lineage.supersteps
-        assert restart.sim_time == pytest.approx(lineage.sim_time)
     # for a late failure, restart's wasted work exceeds compensation's
     # wash-out (for an early failure the two can flip — compensation pays
     # a roughly constant number of extra supersteps, restart pays the
@@ -142,12 +140,10 @@ def test_c2_connected_components_recovery_cost(benchmark, report):
         lambda: _run_matrix(lambda: connected_components(graph), failure_supersteps),
     )
     report(
-        str(
-            _table(
-                f"C2 — Connected Components under one failure, Twitter-like n={GRAPH_SIZE}",
-                results,
-                failure_supersteps,
-            )
+        _table(
+            f"C2 — Connected Components under one failure, Twitter-like n={GRAPH_SIZE}",
+            results,
+            failure_supersteps,
         )
     )
     truth = exact_connected_components(graph)
@@ -157,5 +153,5 @@ def test_c2_connected_components_recovery_cost(benchmark, report):
     # for the delta iteration, optimistic wins outright on total time
     for failure_superstep in failure_supersteps:
         optimistic = results[(failure_superstep, "optimistic")]
-        for other in ("checkpoint(k=2)", "restart", "lineage"):
+        for other in ("checkpoint(k=2)", "restart"):
             assert optimistic.sim_time <= results[(failure_superstep, other)].sim_time

@@ -177,7 +177,7 @@ def test_s4_cache_hit_rates(benchmark, report):
 
 def test_s4_wall_clock_speedup(benchmark, report):
     """Serving invariant work from cache is wall-clock visible at equal
-    (transparent) or reduced (modeled) simulated cost."""
+    simulated cost."""
     factories = {
         "pagerank-twitter": lambda: pagerank(twitter_like_graph(500, seed=7)),
         "cc-chain": lambda: connected_components(chain_graph(40)),
@@ -186,7 +186,7 @@ def test_s4_wall_clock_speedup(benchmark, report):
     def run_all():
         timings = {}
         for name, factory in factories.items():
-            for mode in ("off", "transparent", "modeled"):
+            for mode in ("off", "transparent"):
                 start = time.perf_counter()
                 result = _run(factory, mode)
                 timings[name, mode] = (time.perf_counter() - start, result)
@@ -200,7 +200,7 @@ def test_s4_wall_clock_speedup(benchmark, report):
     )
     for name in factories:
         base = timings[name, "off"][0]
-        for mode in ("off", "transparent", "modeled"):
+        for mode in ("off", "transparent"):
             seconds, result = timings[name, mode]
             table.add_row(
                 name,
@@ -214,11 +214,8 @@ def test_s4_wall_clock_speedup(benchmark, report):
     for name in factories:
         off = timings[name, "off"][1]
         transparent = timings[name, "transparent"][1]
-        modeled = timings[name, "modeled"][1]
         assert transparent.sim_time == off.sim_time  # fixed simulated cost
         assert transparent.final_records == off.final_records
-        assert modeled.sim_time < off.sim_time  # ablation: charges skipped
-        assert modeled.final_records == off.final_records
 
 
 def test_s4_shuffle_fast_path_microbenchmark(benchmark, report):

@@ -26,7 +26,6 @@ from repro.config import EngineConfig
 from repro.core import (
     CheckpointRecovery,
     IncrementalCheckpointRecovery,
-    LineageRecovery,
     RestartRecovery,
 )
 from repro.graph import multi_component_graph, twitter_like_graph
@@ -53,7 +52,6 @@ def _strategy(job, name):
         "checkpoint": lambda: CheckpointRecovery(interval=2),
         "incremental": IncrementalCheckpointRecovery,
         "restart": RestartRecovery,
-        "lineage": LineageRecovery,
     }[name]()
 
 
@@ -72,11 +70,8 @@ def test_s6_backend_equivalence_all_recoveries(benchmark, report):
     def run_matrix():
         rows = []
         for algo, recoveries in (
-            ("pagerank", ("optimistic", "checkpoint", "restart", "lineage")),
-            (
-                "cc",
-                ("optimistic", "checkpoint", "incremental", "restart", "lineage"),
-            ),
+            ("pagerank", ("optimistic", "checkpoint", "restart")),
+            ("cc", ("optimistic", "checkpoint", "incremental", "restart")),
         ):
             for recovery in recoveries:
                 prints = {}

@@ -71,7 +71,6 @@ def test_s1_scaling_with_graph_size(benchmark, report):
 
 
 LARGE_SIZES = (5_000, 10_000, 20_000)
-COLUMNAR_CONFIG = EngineConfig(parallelism=4, spare_workers=8, columnar=True)
 
 
 def _peak_rss_mb() -> float:
@@ -80,14 +79,13 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def test_s1_large_graphs_columnar(benchmark, report):
-    """The large-graph leg: columnar blocks, wall clock *and* peak RSS.
+def test_s1_large_graphs(benchmark, report):
+    """The large-graph leg: wall clock *and* peak RSS.
 
-    Runs the same PR/CC pair over genuinely large Twitter-like graphs
-    with columnar partition blocks on (the ``REPRO_COLUMNAR=on``
-    configuration), recording wall-clock seconds and the process's peak
-    resident set alongside the simulated costs — the footprint axis the
-    small-size sweep above cannot show.
+    Runs the same PR/CC pair over genuinely large Twitter-like graphs,
+    recording wall-clock seconds and the process's peak resident set
+    alongside the simulated costs — the footprint axis the small-size
+    sweep above cannot show.
     """
     import time
 
@@ -97,11 +95,11 @@ def test_s1_large_graphs_columnar(benchmark, report):
             graph = twitter_like_graph(size, seed=7)
             started = time.perf_counter()
             pr_job = pagerank(graph, max_supersteps=500)
-            pr = pr_job.run(config=COLUMNAR_CONFIG, recovery=pr_job.optimistic())
+            pr = pr_job.run(config=CONFIG, recovery=pr_job.optimistic())
             pr_wall = time.perf_counter() - started
             started = time.perf_counter()
             cc_job = connected_components(graph)
-            cc = cc_job.run(config=COLUMNAR_CONFIG, recovery=cc_job.optimistic())
+            cc = cc_job.run(config=CONFIG, recovery=cc_job.optimistic())
             cc_wall = time.perf_counter() - started
             rows.append((size, graph.num_edges, pr, pr_wall, cc, cc_wall, _peak_rss_mb()))
         return rows
@@ -117,7 +115,7 @@ def test_s1_large_graphs_columnar(benchmark, report):
             "CC wall s",
             "peak RSS MB",
         ],
-        title="S1 — large Twitter-like graphs, columnar blocks (wall clock + peak RSS)",
+        title="S1 — large Twitter-like graphs (wall clock + peak RSS)",
     )
     for size, edges, pr, pr_wall, cc, cc_wall, rss in rows:
         table.add_row(

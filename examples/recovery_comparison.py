@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Compare all four recovery strategies on the Twitter-like graph.
+"""Compare three recovery strategies on the Twitter-like graph.
 
 Runs PageRank and Connected Components with one injected failure under
-optimistic recovery, rollback (checkpoint) recovery, plain restart and
-lineage recovery, and prints total simulated time, its decomposition and
+optimistic recovery, rollback (checkpoint) recovery and plain restart
+(which is also what lineage recovery degenerates to when every superstep
+has a reducer — §2.2), and prints total simulated time, its decomposition and
 the superstep counts — the comparison behind the paper's "optimal
 failure-free performance" argument.
 """
@@ -11,7 +12,7 @@ failure-free performance" argument.
 from repro.algorithms import connected_components, pagerank
 from repro.analysis import Table
 from repro.config import EngineConfig
-from repro.core import CheckpointRecovery, LineageRecovery, RestartRecovery
+from repro.core import CheckpointRecovery, RestartRecovery
 from repro.graph import twitter_like_graph
 from repro.runtime import FailureSchedule
 
@@ -24,7 +25,6 @@ def compare(job_factory, failure_superstep: int, title: str) -> None:
         ("optimistic", None),
         ("checkpoint(k=2)", CheckpointRecovery(interval=2)),
         ("restart", RestartRecovery()),
-        ("lineage", LineageRecovery()),
     ]
     table = Table(
         ["strategy", "supersteps", "sim time", "checkpoint io", "restore io", "compensation"],
@@ -62,7 +62,7 @@ def main() -> None:
     )
     print("reading guide: optimistic recovery pays zero checkpoint I/O and")
     print("recovers through compensation; rollback pays I/O every interval;")
-    print("restart and lineage re-run the whole iteration.")
+    print("restart re-runs the whole iteration.")
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ from ..dataflow.plan import Plan
 from ..graph.graph import Graph
 from ..iteration.delta import DeltaIterationSpec
 from ..iteration.termination import EmptyWorkset
-from ..runtime import vectorized
 from ..runtime.executor import PartitionedDataset
 from .base import DeltaJob
 from .reference import exact_connected_components
@@ -59,13 +58,6 @@ def _label_to_neighbor(labeled: Any, edge: Any) -> Any:
 
 def _min_label(left: Any, right: Any) -> Any:
     return left if left[1] <= right[1] else right
-
-
-# Records folded by _min_label are (vertex, label) pairs with equal keys
-# within a group, so keeping the left record on ties is
-# indistinguishable from emitting (vertex, min(labels)) — which is what
-# the vectorized min fold produces.
-vectorized.mark_fold(_min_label, "min")
 
 
 def _improved_label(candidate: Any, current: Any) -> Any:

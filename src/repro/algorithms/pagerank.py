@@ -44,7 +44,6 @@ from ..errors import GraphError
 from ..graph.graph import Graph
 from ..iteration.bulk import BulkIterationSpec
 from ..iteration.termination import EpsilonL1
-from ..runtime import blocks, vectorized
 from ..runtime.executor import PartitionedDataset
 from .base import BulkJob
 from .reference import exact_pagerank
@@ -73,27 +72,8 @@ def _zero_contribution(rank: Any) -> Any:
     return (rank[0], 0.0)
 
 
-def _zero_contribution_block(block: Any) -> Any:
-    """Block form of :func:`_zero_contribution`: keep the key column,
-    replace the value column with float64 zeros."""
-    if block.layout != blocks.COLS or block.width != 2:
-        return None
-    key_col = block.column(0)
-    if key_col is None:
-        return None
-    return blocks.ColumnarBlock.from_columns(
-        (key_col, blocks.float64_zeros(len(block))), len(block)
-    )
-
-
-vectorized.mark_columnar_map(_zero_contribution, _zero_contribution_block)
-
-
 def _sum_ranks(left: Any, right: Any) -> Any:
     return (left[0], left[1] + right[1])
-
-
-vectorized.mark_fold(_sum_ranks, "sum")
 
 
 def _dangling_mass(rank: Any, marker: Any) -> Any:
@@ -102,12 +82,6 @@ def _dangling_mass(rank: Any, marker: Any) -> Any:
 
 def _sum_mass(left: Any, right: Any) -> Any:
     return ("mass", left[1] + right[1])
-
-
-# ``"mass"`` keys are strings, so the int64-gated fast path always
-# declines at runtime — the mark simply records that the combine is a
-# plain sum should the partition ever be typed.
-vectorized.mark_fold(_sum_mass, "sum")
 
 
 class _ApplyDamping:

@@ -21,7 +21,6 @@ PARALLEL_BACKENDS = ("serial", "threads", "processes")
 #: and the CLI ``--strategy`` flag (see :func:`repro.core.build_strategy`).
 RECOVERY_STRATEGIES = (
     "restart",
-    "lineage",
     "checkpoint",
     "incremental",
     "optimistic",
@@ -49,27 +48,6 @@ def _env_parallel_workers() -> int | None:
     except ValueError:
         raise ConfigError(
             f"REPRO_PARALLEL_WORKERS must be an integer, got {raw!r}"
-        ) from None
-
-
-def _env_columnar() -> bool:
-    """Default columnar switch, overridable via ``REPRO_COLUMNAR``.
-
-    Mirrors the ``REPRO_PARALLEL_BACKEND`` hook: CI flips the whole
-    suite to columnar partition blocks without touching any call site.
-    """
-    return os.environ.get("REPRO_COLUMNAR", "").strip().lower() in ("on", "1", "true")
-
-
-def _env_block_budget() -> int | None:
-    raw = os.environ.get("REPRO_BLOCK_BUDGET")
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_BLOCK_BUDGET must be an integer byte count, got {raw!r}"
         ) from None
 
 
@@ -168,9 +146,7 @@ class EngineConfig:
             build indexes from a per-run cache, skipping the redundant
             wall-clock work while replaying bit-identical simulated
             charges — every archived figure and benchmark baseline still
-            reproduces exactly. ``"modeled"`` also skips the simulated
-            charges of served work (Flink's real loop-invariant caching
-            behavior, for ablation). ``"off"`` disables the cache and
+            reproduces exactly. ``"off"`` disables the cache and
             re-executes the full step plan every superstep.
         parallel_backend: how partition kernels execute within one job:
             ``"serial"`` (default — inline in the driver thread,
@@ -183,19 +159,6 @@ class EngineConfig:
             ``None`` uses :func:`repro.runtime.parallel.default_parallel_workers`
             (cores, capped at 8). Defaults to ``$REPRO_PARALLEL_WORKERS``
             when set.
-        columnar: store partition payloads as columnar blocks
-            (:mod:`repro.runtime.blocks`): typed arrays per tuple field,
-            vectorized kernel variants, compact/zero-copy IPC and
-            optional spill-to-disk. Records, simulated time, metrics and
-            superstep counts are bit-identical with columnar on or off —
-            only wall-clock time and memory shape change. Defaults to
-            ``$REPRO_COLUMNAR`` (``on``/``1``/``true``).
-        block_budget_bytes: resident-payload byte budget of the
-            columnar :class:`~repro.runtime.blocks.BlockStore`; blocks
-            beyond the budget spill to disk (LRU) and fault back on
-            access. ``None`` (default) keeps everything in memory.
-            Defaults to ``$REPRO_BLOCK_BUDGET`` when set. Only
-            meaningful with ``columnar=True``.
         recovery: default recovery strategy name for drivers that were
             not handed an explicit strategy object (one of
             ``RECOVERY_STRATEGIES``, or ``None`` for the historical
@@ -223,8 +186,6 @@ class EngineConfig:
     execution_cache: str = "transparent"
     parallel_backend: str = field(default_factory=_env_parallel_backend)
     parallel_workers: int | None = field(default_factory=_env_parallel_workers)
-    columnar: bool = field(default_factory=_env_columnar)
-    block_budget_bytes: int | None = field(default_factory=_env_block_budget)
     recovery: str | None = None
     event_log_capacity: int | None = None
 
@@ -246,9 +207,9 @@ class EngineConfig:
             raise ConfigError(
                 f"state_backend must be 'keyed' or 'rebuild', got {self.state_backend!r}"
             )
-        if self.execution_cache not in ("off", "transparent", "modeled"):
+        if self.execution_cache not in ("off", "transparent"):
             raise ConfigError(
-                f"execution_cache must be 'off', 'transparent' or 'modeled', "
+                f"execution_cache must be 'off' or 'transparent', "
                 f"got {self.execution_cache!r}"
             )
         if self.parallel_backend not in PARALLEL_BACKENDS:
@@ -259,10 +220,6 @@ class EngineConfig:
         if self.parallel_workers is not None and self.parallel_workers < 1:
             raise ConfigError(
                 f"parallel_workers must be >= 1 or None, got {self.parallel_workers}"
-            )
-        if self.block_budget_bytes is not None and self.block_budget_bytes < 1:
-            raise ConfigError(
-                f"block_budget_bytes must be >= 1 or None, got {self.block_budget_bytes}"
             )
         if self.recovery is not None and self.recovery not in RECOVERY_STRATEGIES:
             raise ConfigError(
@@ -305,14 +262,6 @@ class EngineConfig:
     def with_recovery(self, recovery: str | None) -> "EngineConfig":
         """Return a copy with a different default recovery strategy name."""
         return replace(self, recovery=recovery)
-
-    def with_columnar(
-        self, columnar: bool = True, block_budget_bytes: int | None = None
-    ) -> "EngineConfig":
-        """Return a copy with columnar blocks on/off (and a spill budget)."""
-        return replace(
-            self, columnar=columnar, block_budget_bytes=block_budget_bytes
-        )
 
 
 DEFAULT_CONFIG = EngineConfig()

@@ -10,9 +10,7 @@ This package implements the fault-tolerance layer of the reproduction:
 * :mod:`repro.core.optimistic` — checkpoint-free optimistic recovery;
 * :mod:`repro.core.checkpointing` — classic rollback recovery with a
   configurable checkpoint interval (the pessimistic baseline);
-* :mod:`repro.core.restart` — restart-from-scratch (no fault tolerance)
-  and lineage-based recovery, which §2.2 argues degenerates to a restart
-  for iterative jobs with all-to-all dependencies;
+* :mod:`repro.core.restart` — restart-from-scratch (no fault tolerance);
 * :mod:`repro.core.guarantees` — consistency invariants compensation
   functions must uphold, checked after every compensation;
 * :mod:`repro.core.confined` — confined recovery: a bounded message log
@@ -39,7 +37,7 @@ from .guarantees import (
 from .incremental import IncrementalCheckpointRecovery
 from .optimistic import OptimisticRecovery
 from .recovery import RecoveryContext, RecoveryOutcome, RecoveryStrategy
-from .restart import LineageRecovery, RestartRecovery
+from .restart import RestartRecovery
 from .strategies import STRATEGY_NAMES, build_strategy, resolve_recovery
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "ConfinedRecovery",
     "IncrementalCheckpointRecovery",
     "KeySetPreserved",
-    "LineageRecovery",
     "MassConservation",
     "MessageLog",
     "OptimisticRecovery",

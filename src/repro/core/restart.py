@@ -1,20 +1,12 @@
-"""Restart-based recovery: no fault tolerance, and lineage recovery.
+"""Restart-based recovery: no fault tolerance.
 
 :class:`RestartRecovery` models a system without any fault-tolerance
 mechanism for iterative state: after a failure the only option is to
 re-read the inputs from stable storage and run the whole iteration again.
 Its failure-free performance is optimal (it pays nothing), which makes it
-the baseline optimistic recovery must match.
-
-:class:`LineageRecovery` models Spark-style lineage-based recovery as
-§2.2 characterizes it for iterative dataflows: "a partition of the current
-iteration may depend on all partitions of the previous iteration (e.g.
-when a reducer is executed during an iteration). In such cases after a
-failure the iteration has to be restarted from scratch to re-compute lost
-partitions." Both PageRank and Connected Components shuffle through
-reducers every superstep, so for the workloads of this paper lineage
-recovery behaves exactly like a restart; it exists as its own class so
-experiments can report it under its proper name.
+the baseline optimistic recovery must match. It also stands in for
+Spark-style lineage recovery, which §2.2 argues degenerates to a restart
+whenever a superstep contains a reducer (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -67,11 +59,3 @@ class RestartRecovery(RecoveryStrategy):
         return RecoveryOutcome(
             state=restored_state, workset=restored_workset, restarted=True
         )
-
-
-class LineageRecovery(RestartRecovery):
-    """Lineage-based recovery, which degenerates to a restart for
-    iterative dataflows whose supersteps contain all-to-all dependencies
-    (every workload in this reproduction does)."""
-
-    name = "lineage"

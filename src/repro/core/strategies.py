@@ -20,7 +20,7 @@ from .guarantees import StateInvariant
 from .incremental import IncrementalCheckpointRecovery
 from .optimistic import OptimisticRecovery
 from .recovery import RecoveryStrategy
-from .restart import LineageRecovery, RestartRecovery
+from .restart import RestartRecovery
 
 #: all valid strategy names (re-exported from :mod:`repro.config` so the
 #: frozen config dataclasses can validate without importing this package).
@@ -53,8 +53,6 @@ def build_strategy(
     """
     if name == "restart":
         return RestartRecovery()
-    if name == "lineage":
-        return LineageRecovery()
     if name == "checkpoint":
         return CheckpointRecovery(interval=checkpoint_interval)
     if name == "incremental":

@@ -23,16 +23,10 @@ class KeySpec:
             specs with equal names must extract equal keys from the
             records they are applied to.
         extractor: function mapping a record to a hashable key.
-        field: when the extractor is a plain positional projection
-            (``record[field]``), the field index — the contract the
-            columnar runtime relies on to read keys straight off a typed
-            column (:mod:`repro.runtime.vectorized`). ``None`` for
-            arbitrary extractors; equality and hashing stay name-only.
     """
 
     name: str
     extractor: Callable[[Any], Hashable]
-    field: int | None = None
 
     def __call__(self, record: Any) -> Hashable:
         return self.extractor(record)
@@ -57,9 +51,9 @@ def _extract_second(record: Any) -> Hashable:
 
 def first_field(name: str = "field0") -> KeySpec:
     """Key on ``record[0]`` — the library-wide convention for vertex ids."""
-    return KeySpec(name, _extract_first, field=0)
+    return KeySpec(name, _extract_first)
 
 
 def second_field(name: str = "field1") -> KeySpec:
     """Key on ``record[1]`` (e.g. the target vertex of an edge tuple)."""
-    return KeySpec(name, _extract_second, field=1)
+    return KeySpec(name, _extract_second)

@@ -127,15 +127,6 @@ def add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker count for a parallel backend (default: derived from "
         "the machine's core count)",
     )
-    parser.add_argument(
-        "--columnar",
-        action="store_true",
-        default=None,
-        help="pack partition payloads into typed columnar blocks "
-        "(vectorized kernels, shared-memory process IPC); records and "
-        "simulated costs are identical, only wall-clock time changes "
-        "(default: REPRO_COLUMNAR or off)",
-    )
 
 
 def _check_parallel_workers(workers: int | None) -> None:
@@ -559,7 +550,6 @@ def serve_main(argv: Sequence[str]) -> int:
                 recovery=args.strategy,
                 parallel_backend=args.parallel_backend,
                 parallel_workers=args.parallel_workers,
-                columnar=args.columnar,
                 tenants=tenant_names,
             )
         )
@@ -771,8 +761,6 @@ def views_main(argv: Sequence[str]) -> int:
                 args.parallel_backend or engine.parallel_backend,
                 args.parallel_workers,
             )
-        if args.columnar:
-            engine = engine.with_columnar()
     except ConfigError as error:
         print(f"error: {error}")
         return 2
@@ -896,7 +884,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             parallel_backend=args.parallel_backend,
             parallel_workers=args.parallel_workers,
-            columnar=args.columnar,
         )
         for superstep, partitions in failures:
             session.schedule_failure(superstep, partitions)

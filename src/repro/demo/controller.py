@@ -21,7 +21,7 @@ from ..core.checkpointing import CheckpointRecovery
 from ..core.confined import ConfinedRecovery
 from ..core.incremental import IncrementalCheckpointRecovery
 from ..core.recovery import RecoveryStrategy
-from ..core.restart import LineageRecovery, RestartRecovery
+from ..core.restart import RestartRecovery
 from ..errors import ConfigError
 from ..graph.generators import demo_graph, demo_pagerank_graph, twitter_like_graph
 from ..graph.graph import Graph
@@ -185,11 +185,6 @@ class DemoSession:
             wall-clock time changes.
         parallel_workers: worker count for a parallel backend; ``None``
             picks a default from the machine's core count.
-        columnar: pack partition payloads into typed columnar blocks
-            (:mod:`repro.runtime.blocks`); ``None`` keeps the
-            :class:`repro.config.EngineConfig` default (the
-            ``REPRO_COLUMNAR`` environment variable, else off). Records
-            and simulated costs are identical either way.
     """
 
     def __init__(
@@ -202,7 +197,6 @@ class DemoSession:
         seed: int = 7,
         parallel_backend: str | None = None,
         parallel_workers: int | None = None,
-        columnar: bool | None = None,
     ):
         if algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
@@ -220,7 +214,6 @@ class DemoSession:
         self.spare_workers = spare_workers
         self.parallel_backend = parallel_backend
         self.parallel_workers = parallel_workers
-        self.columnar = columnar
         if isinstance(graph, Graph):
             self.graph = graph
         elif graph == "small":
@@ -271,8 +264,6 @@ class DemoSession:
             return IncrementalCheckpointRecovery()
         if name == "restart":
             return RestartRecovery()
-        if name == "lineage":
-            return LineageRecovery()
         if name == "confined":
             return ConfinedRecovery()
         if name == "adaptive":
@@ -304,8 +295,6 @@ class DemoSession:
             overrides["parallel_backend"] = self.parallel_backend
         if self.parallel_workers is not None:
             overrides["parallel_workers"] = self.parallel_workers
-        if self.columnar is not None:
-            overrides["columnar"] = self.columnar
         config = EngineConfig(
             parallelism=self.parallelism,
             spare_workers=self.spare_workers,

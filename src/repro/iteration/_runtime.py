@@ -11,7 +11,6 @@ from ..dataflow.operators import SourceOperator
 from ..dataflow.plan import Plan
 from ..errors import IterationError
 from ..observability.tracer import NOOP_TRACER, Tracer
-from ..runtime.blocks import BlockStore
 from ..runtime.cluster import SimulatedCluster
 from ..runtime.executor import PartitionedDataset, PlanExecutor
 from ..runtime.failures import FailureInjector, FailureSchedule
@@ -29,7 +28,6 @@ class JobRuntime:
     executor: PlanExecutor
     storage: StableStorage
     injector: FailureInjector
-    block_store: BlockStore | None = None
 
     @property
     def clock(self):
@@ -52,12 +50,9 @@ class JobRuntime:
 
         The shared thread/process pools stay alive for the next run;
         only this run's shipped build indexes and broadcasts are
-        released. Closing the block store re-materializes any spilled
-        blocks first, so result datasets stay readable after the run.
+        released.
         """
         self.executor.release_residents()
-        if self.block_store is not None:
-            self.block_store.close()
 
 
 def build_runtime(
@@ -74,17 +69,12 @@ def build_runtime(
     cluster = SimulatedCluster(config)
     tracer = tracer if tracer is not None else NOOP_TRACER
     tracer.bind(cluster.clock)
-    block_store = (
-        BlockStore(budget_bytes=config.block_budget_bytes) if config.columnar else None
-    )
     executor = PlanExecutor(
         config.parallelism,
         clock=cluster.clock,
         combiners=config.combiners,
         tracer=tracer,
         backend=get_backend(config.parallel_backend, config.parallel_workers),
-        columnar=config.columnar,
-        block_store=block_store,
     )
     storage = StableStorage(cluster.clock)
     injector = FailureInjector(failures if failures is not None else FailureSchedule.none())
@@ -94,7 +84,6 @@ def build_runtime(
         executor=executor,
         storage=storage,
         injector=injector,
-        block_store=block_store,
     )
 
 
@@ -103,16 +92,13 @@ def bind_statics(
     statics: dict[str, Iterable[Any]],
     dynamic_sources: set[str],
     parallelism: int,
-    executor: PlanExecutor | None = None,
 ) -> dict[str, PartitionedDataset]:
     """Partition loop-invariant inputs once, per their source key specs.
 
     Flink caches loop-invariant data partitioned (and sorted) across
     iterations; partitioning statics once here models that — every
     superstep's execution then finds them already placed and skips the
-    shuffle. When ``executor`` runs columnar, each bound dataset is
-    packed into blocks here (statics are the largest long-lived
-    payloads, so this is where packing pays the most).
+    shuffle.
     """
     bound: dict[str, PartitionedDataset] = {}
     declared = {op.name: op for op in plan.sources()}
@@ -128,12 +114,9 @@ def bind_statics(
         if name not in declared:
             raise IterationError(f"static input {name!r} matches no plan source")
         source: SourceOperator = declared[name]
-        dataset = PartitionedDataset.from_records(
+        bound[name] = PartitionedDataset.from_records(
             records, parallelism, key=source.partitioned_by
         )
-        if executor is not None:
-            executor.pack_dataset(dataset)
-        bound[name] = dataset
     return bound
 
 

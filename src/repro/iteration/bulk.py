@@ -162,11 +162,7 @@ def run_bulk_iteration(
         telemetry.set_target(getattr(spec.termination, "epsilon", None))
     parallelism = config.parallelism
     bound_statics = bind_statics(
-        spec.step_plan,
-        dict(statics or {}),
-        {spec.state_source},
-        parallelism,
-        executor=runtime.executor,
+        spec.step_plan, dict(statics or {}), {spec.state_source}, parallelism
     )
     initial_state = PartitionedDataset.from_records(
         initial_records, parallelism, key=spec.state_key
@@ -177,7 +173,6 @@ def run_bulk_iteration(
     if config.execution_cache != "off":
         cache = SuperstepExecutionCache(
             analyze_invariants(spec.step_plan, {spec.state_source}),
-            mode=config.execution_cache,
             metrics=runtime.metrics,
         )
     ctx = RecoveryContext(
@@ -196,7 +191,7 @@ def run_bulk_iteration(
     spec.termination.reset()
 
     series = StatsSeries()
-    state = runtime.executor.pack_dataset(initial_state.copy())
+    state = initial_state.copy()
     if snapshots is not None:
         snapshots.add(-1, SnapshotPhase.INITIAL, state.all_records())
     converged = False

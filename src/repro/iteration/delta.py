@@ -162,7 +162,6 @@ def run_delta_iteration(
         dict(statics or {}),
         {spec.solution_source, spec.workset_source},
         parallelism,
-        executor=runtime.executor,
     )
     initial_solution = list(initial_solution)
     if not initial_solution:
@@ -173,12 +172,8 @@ def run_delta_iteration(
     solution = PartitionedDataset.from_records(
         initial_solution, parallelism, key=spec.state_key
     )
-    # The workset is reborn every superstep from the repartitioned step
-    # output (which packs when columnar); packing the initial one keeps
-    # superstep 0 on the same representation. The solution set stays
-    # record lists — the keyed state backend owns and mutates it.
-    workset = runtime.executor.pack_dataset(
-        PartitionedDataset.from_records(workset_records, parallelism, key=spec.state_key)
+    workset = PartitionedDataset.from_records(
+        workset_records, parallelism, key=spec.state_key
     )
     backend = make_state_backend(
         config.state_backend,
@@ -195,7 +190,6 @@ def run_delta_iteration(
             analyze_invariants(
                 spec.step_plan, {spec.solution_source, spec.workset_source}
             ),
-            mode=config.execution_cache,
             metrics=runtime.metrics,
         )
     ctx = RecoveryContext(

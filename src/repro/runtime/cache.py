@@ -17,18 +17,12 @@ of those results once and serves it on every later ``execute()`` call:
   over an invariant input of a *dynamic* join or co-group (Flink keeps
   the static build side of such joins resident across iterations).
 
-Two cache modes exist, selected by ``EngineConfig.execution_cache``:
-
-* ``"transparent"`` (the default) skips the redundant wall-clock work
-  but **replays the recorded simulated charges bit-identically** on every
-  hit — the simulated clock, the cost breakdown, and every metrics
-  counter advance exactly as they would with the cache off, so all
-  archived figures and benchmark baselines still reproduce exactly;
-* ``"modeled"`` also skips the simulated charges (what a real engine
-  with loop-invariant caching — Flink — actually does), for ablations
-  that quantify how much of a superstep's modeled cost is invariant
-  recomputation. Per-operator ``records_in.*`` counters then reflect
-  only the records actually processed.
+The cache is *transparent*: it skips the redundant wall-clock work but
+**replays the recorded simulated charges bit-identically** on every hit
+— the simulated clock, the cost breakdown, and every metrics counter
+advance exactly as they would with ``EngineConfig.execution_cache`` set
+to ``"off"`` (no cache is built), so all archived figures and benchmark
+baselines reproduce exactly either way.
 
 How transparency is achieved: the first (miss) execution of a cacheable
 operator runs with the executor's clock and metrics wrapped in recording
@@ -39,10 +33,9 @@ amounts, which accumulates bit-identically to re-execution.
 Failure handling: cached results model data resident on workers. When
 workers fail and partitions are re-assigned, the driver calls
 :meth:`SuperstepExecutionCache.invalidate` and every entry is dropped —
-the next superstep re-materializes (and, in ``modeled`` mode, re-charges
-the placement network cost of) whatever the plan still needs. In
-``transparent`` mode this is cost-invisible by construction: a miss
-charges exactly what a hit would have replayed.
+the next superstep re-materializes whatever the plan still needs. This
+is cost-invisible by construction: a miss charges exactly what a hit
+would have replayed.
 
 The cache reports ``cache.hits`` / ``cache.misses`` /
 ``cache.invalidations`` counters (plus per-kind ``cache.hits.<kind>``
@@ -67,7 +60,7 @@ if TYPE_CHECKING:
     from .executor import PartitionedDataset, PlanExecutor
 
 #: the valid ``EngineConfig.execution_cache`` settings.
-EXECUTION_CACHE_MODES = ("off", "transparent", "modeled")
+EXECUTION_CACHE_MODES = ("off", "transparent")
 
 
 class ChargeLog:
@@ -96,16 +89,11 @@ class ChargeLog:
         clock: SimulatedClock,
         metrics: MetricsRegistry,
         *,
-        charge: bool = True,
         message_log: Any | None = None,
     ) -> None:
-        """Re-apply the log. With ``charge=False`` nothing is applied
-        (modeled mode: the whole point is skipping the charges). When a
-        ``message_log`` is passed (confined recovery active), recorded
-        deliveries are re-delivered so the log's contents stay
-        bit-identical to a cache-off run."""
-        if not charge:
-            return
+        """Re-apply the log. When a ``message_log`` is passed (confined
+        recovery active), recorded deliveries are re-delivered so the
+        log's contents stay bit-identical to a cache-off run."""
         for seconds, category in self.advances:
             clock.advance(seconds, category)
         for name, amount in self.increments:
@@ -198,24 +186,16 @@ class SuperstepExecutionCache:
 
     Args:
         analysis: which operators of the step plan are loop-invariant.
-        mode: ``"transparent"`` or ``"modeled"`` (see the module
-            docstring; ``"off"`` is represented by not building a cache).
         metrics: registry receiving the ``cache.*`` counters.
     """
 
     def __init__(
         self,
         analysis: InvariantAnalysis,
-        mode: str = "transparent",
         *,
         metrics: MetricsRegistry | None = None,
     ):
-        if mode not in ("transparent", "modeled"):
-            raise ExecutionError(
-                f"execution cache mode must be 'transparent' or 'modeled', got {mode!r}"
-            )
         self.analysis = analysis
-        self.mode = mode
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._plan_id: int | None = None
         self._outputs: dict[int, tuple["PartitionedDataset", ChargeLog]] = {}
@@ -228,11 +208,6 @@ class SuperstepExecutionCache:
         self.invalidations = 0
 
     # -- bookkeeping -------------------------------------------------------------
-
-    @property
-    def transparent(self) -> bool:
-        """Whether hits replay their recorded simulated charges."""
-        return self.mode == "transparent"
 
     def bind_plan(self, plan: "Plan") -> None:
         """Pin the cache to the one plan it was analyzed for.
@@ -385,8 +360,7 @@ class SuperstepExecutionCache:
         the iterative state — partition ``p`` of every entry lived on the
         worker hosting state partition ``p`` — so losing any partition
         invalidates every entry (each entry spans all partitions). The
-        next ``execute()`` re-materializes on the replacement workers,
-        charging placement costs per the active mode.
+        next ``execute()`` re-materializes on the replacement workers.
 
         Returns the number of entries dropped (also added to the
         ``cache.invalidations`` counter).

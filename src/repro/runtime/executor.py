@@ -38,7 +38,6 @@ from ..errors import ExecutionError, PartitionLostError
 from ..observability.span import SpanKind
 from ..observability.tracer import NOOP_TRACER, Tracer
 from . import kernels
-from .blocks import BlockStore, ColumnarBlock, concat_parts, maybe_block
 from .cache import SuperstepExecutionCache
 from .clock import SimulatedClock
 from .metrics import MetricsRegistry
@@ -58,13 +57,10 @@ class PartitionedDataset:
     """A dataset split into ``n`` partitions.
 
     Attributes:
-        partitions: one record sequence per partition — a plain list or,
-            under ``EngineConfig.columnar``, an immutable
-            :class:`~repro.runtime.blocks.ColumnarBlock` holding the
-            exact same records. A partition may be ``None``, meaning its
-            state was destroyed by a failure and has not been recovered
-            yet; executing a plan over such a dataset raises
-            :class:`repro.errors.PartitionLostError`.
+        partitions: one record list per partition. A partition may be
+            ``None``, meaning its state was destroyed by a failure and
+            has not been recovered yet; executing a plan over such a
+            dataset raises :class:`repro.errors.PartitionLostError`.
         partitioned_by: the key spec the data is hash-partitioned by, or
             ``None`` for round-robin / unknown placement.
     """
@@ -156,20 +152,10 @@ class PartitionedDataset:
         self.partitions[partition_id] = list(records)
 
     def copy(self) -> "PartitionedDataset":
-        """A deep-enough copy (fresh partition lists, shared records).
-
-        Columnar blocks are immutable, so the copy shares them outright
-        — the outer partition list is fresh either way, which is all the
-        decoupling callers (``lose``, ``replace_partition``) rely on.
-        """
+        """A deep-enough copy (fresh partition lists, shared records)."""
         return PartitionedDataset(
             partitions=[
-                part
-                if isinstance(part, ColumnarBlock)
-                else list(part)
-                if part is not None
-                else None
-                for part in self.partitions
+                list(part) if part is not None else None for part in self.partitions
             ],
             partitioned_by=self.partitioned_by,
         )
@@ -197,8 +183,6 @@ class PlanExecutor:
         combiners: bool = False,
         tracer: Tracer | None = None,
         backend: ExecutionBackend | None = None,
-        columnar: bool = False,
-        block_store: BlockStore | None = None,
     ):
         if parallelism < 1:
             raise ExecutionError(f"parallelism must be >= 1, got {parallelism}")
@@ -221,15 +205,6 @@ class PlanExecutor:
         #: the execution cache of the in-flight ``execute()`` call (set
         #: per call from its ``cache`` argument; ``None`` disables reuse).
         self._cache: SuperstepExecutionCache | None = None
-        #: when True, partition payloads crossing materialization
-        #: boundaries (statics, shuffle outputs, repartitioned state) are
-        #: packed into columnar blocks; the records themselves and every
-        #: simulated charge stay bit-identical.
-        self.columnar = columnar
-        #: spill-to-disk manager for packed blocks (``None`` keeps all
-        #: payloads in memory). Owns its own ``blocks.*`` metrics so job
-        #: metrics are unchanged by the columnar flag.
-        self.block_store = block_store
         #: confined recovery's per-partition delivery log, attached by
         #: :class:`repro.core.confined.ConfinedRecovery` at run start
         #: (duck-typed: anything with a ``deliver(sizes, local=)``
@@ -269,9 +244,8 @@ class PlanExecutor:
                 :class:`~repro.runtime.cache.SuperstepExecutionCache`
                 built for this plan. Loop-invariant operator outputs,
                 static shuffle placements and static join build indexes
-                are then served from cache instead of recomputed; the
-                cache's mode decides whether their simulated charges are
-                replayed (``transparent``) or skipped (``modeled``).
+                are then served from cache instead of recomputed, and
+                their recorded simulated charges replayed.
 
         Returns:
             ``{operator name: materialized dataset}`` for each requested
@@ -315,37 +289,9 @@ class PlanExecutor:
             f"repartition:{context}", kind=SpanKind.OPERATOR, operator=context
         ) as span:
             result = self._shuffle(dataset, key, context)
-            # Driver-facing repartitions are materialization boundaries:
-            # keep the state/workset columnar even when the shuffle was a
-            # placement no-op (packing in place is idempotent and record-
-            # preserving, so aliased outputs stay aliased).
-            self.pack_dataset(result)
             if self.tracer.enabled:
                 self._annotate_operator_span(span, result)
         return result
-
-    def pack_dataset(self, dataset: PartitionedDataset) -> PartitionedDataset:
-        """Convert a dataset's partitions to columnar blocks, in place.
-
-        A no-op unless this executor runs columnar; lost (``None``)
-        partitions and already-columnar payloads pass through. Records
-        are unchanged — blocks are sequence-equal to the lists they
-        replace.
-        """
-        if self.columnar:
-            store = self.block_store
-            dataset.partitions = [
-                None if part is None else maybe_block(part, store)
-                for part in dataset.partitions
-            ]
-        return dataset
-
-    def _pack_parts(self, parts: list[Any]) -> list[Any]:
-        """Pack freshly shuffled output partitions when running columnar."""
-        if not self.columnar:
-            return parts
-        store = self.block_store
-        return [maybe_block(part, store) for part in parts]
 
     # -- internals ---------------------------------------------------------------
 
@@ -438,7 +384,7 @@ class PlanExecutor:
             return dataset
         keys = self._op_keys(op_name)
         moved = 0
-        if self.backend.is_serial and not self.columnar:
+        if self.backend.is_serial:
             partition = HashPartitioner(self.parallelism).partition
             parts: list[Any] = [[] for _ in range(self.parallelism)]
             appends = [part.append for part in parts]
@@ -451,23 +397,17 @@ class PlanExecutor:
             # backends may run it inline (the serial backend always
             # does); the merge below concatenates bucket p of every
             # source partition in source order — exactly the record
-            # order the fused loop above produces. Columnar inputs take
-            # this path even serially so typed buckets can be routed
-            # and concatenated without decaying to record lists.
+            # order the fused loop above produces.
             routed = self._dispatch(
                 kernels.route_kernel,
                 [(part, key, self.parallelism) for part in dataset.partitions],
                 weight=LIGHT,
             )
-            parts = [
-                concat_parts([buckets[pid] for buckets in routed])
-                for pid in range(self.parallelism)
-            ]
+            parts = [[] for _ in range(self.parallelism)]
+            for buckets in routed:
+                for merged, bucket in zip(parts, buckets):
+                    merged.extend(bucket)
             moved = sum(len(part) for part in dataset.partitions)  # type: ignore[arg-type]
-        # Shuffle outputs are a materialization boundary: pack before
-        # charging so charge/deliver sizes are read off the final
-        # payloads (lengths are unchanged by packing).
-        parts = self._pack_parts(parts)
         self.clock.charge_network(moved)
         self.metrics.increment(keys[1], moved)
         self.metrics.observe("shuffle_volume", moved)
@@ -490,9 +430,9 @@ class PlanExecutor:
         when the input is loop-invariant.
 
         On a hit the stored placement is returned at zero wall-clock cost
-        and the recorded network charges are replayed (transparent mode)
-        or skipped (modeled mode). No-op shuffles (input already placed)
-        bypass the memo: they charge nothing and cache nothing.
+        and the recorded network charges are replayed. No-op shuffles
+        (input already placed) bypass the memo: they charge nothing and
+        cache nothing.
         """
         cache = self._cache
         if (
@@ -504,12 +444,7 @@ class PlanExecutor:
         entry = cache.lookup_shuffle(producer, key)
         if entry is not None:
             shuffled, log = entry
-            log.replay(
-                self.clock,
-                self.metrics,
-                charge=cache.transparent,
-                message_log=self.message_log,
-            )
+            log.replay(self.clock, self.metrics, message_log=self.message_log)
             return shuffled
         with cache.recording(self) as log:
             shuffled = self._shuffle(dataset, key, op_name)
@@ -534,12 +469,7 @@ class PlanExecutor:
         entry = cache.lookup_output(op)
         if entry is not None:
             result, log = entry
-            log.replay(
-                self.clock,
-                self.metrics,
-                charge=cache.transparent,
-                message_log=self.message_log,
-            )
+            log.replay(self.clock, self.metrics, message_log=self.message_log)
             if self.tracer.enabled:
                 span.set_attribute("cache", "hit")
                 self._annotate_operator_span(span, result)
@@ -659,11 +589,7 @@ class PlanExecutor:
         cache = self._cache
         reusable = cache is not None and cache.serves_build(op, "right")
         tables = cache.lookup_build(op, "right") if reusable else None
-        if tables is not None and not cache.transparent:
-            # modeled mode: the resident build side is not reprocessed.
-            self._count_in(op, left.num_records())
-        else:
-            self._count_in(op, left.num_records() + right.num_records())
+        self._count_in(op, left.num_records() + right.num_records())
         left = self._cached_shuffle(op.inputs[0], left, op.left_key, op.name)
         right = self._cached_shuffle(op.inputs[1], right, op.right_key, op.name)
         if tables is None and not reusable:
@@ -711,12 +637,7 @@ class PlanExecutor:
         right_reusable = cache is not None and cache.serves_build(op, "right")
         left_groups_all = cache.lookup_build(op, "left") if left_reusable else None
         right_groups_all = cache.lookup_build(op, "right") if right_reusable else None
-        counted = 0
-        if left_groups_all is None or cache.transparent:
-            counted += left.num_records()
-        if right_groups_all is None or cache.transparent:
-            counted += right.num_records()
-        self._count_in(op, counted)
+        self._count_in(op, left.num_records() + right.num_records())
         left = self._cached_shuffle(op.inputs[0], left, op.left_key, op.name)
         right = self._cached_shuffle(op.inputs[1], right, op.right_key, op.name)
         if left_groups_all is None and left_reusable:
@@ -768,12 +689,7 @@ class PlanExecutor:
         entry = cache.lookup_broadcast(op) if reusable else None
         if entry is not None:
             broadcast, log = entry
-            log.replay(
-                self.clock,
-                self.metrics,
-                charge=cache.transparent,
-                message_log=self.message_log,
-            )
+            log.replay(self.clock, self.metrics, message_log=self.message_log)
         elif reusable:
             with cache.recording(self) as log:
                 broadcast = self._broadcast_side(op, right)
@@ -781,7 +697,7 @@ class PlanExecutor:
         else:
             broadcast = self._broadcast_side(op, right)
         # The probe UDF genuinely runs against every pair each superstep,
-        # so pair processing is charged in every cache mode.
+        # so pair processing is charged whether or not the side is cached.
         pairs = left.num_records() * len(broadcast)
         self._count_in(op, pairs)
         # A cache-reusable broadcast is stable across supersteps, so ship

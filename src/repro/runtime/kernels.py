@@ -20,14 +20,6 @@ The ``counters`` dict is small bookkeeping about the partition's work
 Job-level counters (``records_in.<op>`` etc.) are *not* derived from it
 — the parent computes those before dispatch so they are identical across
 backends by construction.
-
-Partitions may arrive as record lists or as columnar
-:class:`~repro.runtime.blocks.ColumnarBlock` payloads; blocks iterate as
-the exact same records, so every loop below works on both. When a block
-is typed and the operation has a provably bit-identical vectorized form
-(:mod:`repro.runtime.vectorized`), the kernel dispatches it instead of
-looping; any doubt falls back to the loop, so records are identical by
-construction either way.
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..dataflow.functions import emitted
-from . import vectorized
 from .partition import stable_hash
 
 KernelResult = "tuple[list[Any], dict[str, int]]"
@@ -43,18 +34,13 @@ KernelResult = "tuple[list[Any], dict[str, int]]"
 
 def map_kernel(part: list[Any], fn: Callable[[Any], Any]):
     """Apply ``fn`` to every record."""
-    out = vectorized.apply_columnar_map(fn, part)
-    if out is None:
-        out = [fn(record) for record in part]
+    out = [fn(record) for record in part]
     return out, {"records_in": len(part), "records_out": len(out)}
 
 
 def flat_map_kernel(part: list[Any], fn: Callable[[Any], Any]):
     """Apply ``fn`` to every record and flatten the emitted iterables."""
-    out = vectorized.apply_columnar_flat_map(fn, part)
-    if out is not None:
-        return out, {"records_in": len(part), "records_out": len(out)}
-    out = []
+    out: list[Any] = []
     for record in part:
         out.extend(fn(record))
     return out, {"records_in": len(part), "records_out": len(out)}
@@ -62,9 +48,7 @@ def flat_map_kernel(part: list[Any], fn: Callable[[Any], Any]):
 
 def filter_kernel(part: list[Any], fn: Callable[[Any], Any]):
     """Keep records for which ``fn`` is truthy."""
-    out = vectorized.apply_columnar_filter(fn, part)
-    if out is None:
-        out = [record for record in part if fn(record)]
+    out = [record for record in part if fn(record)]
     return out, {"records_in": len(part), "records_out": len(out)}
 
 
@@ -74,19 +58,10 @@ def fold_by_key_kernel(part: list[Any], key: Callable[[Any], Any], fn: Callable[
     This is both the post-shuffle reduce of ``reduce_by_key`` and the
     map-side combiner: the fold is associative by operator contract, so
     output is insertion-ordered exactly like the serial dict-based loop.
-
-    Marked sum/min combiners over typed two-field blocks (PageRank's
-    rank update, Connected Components' min-label aggregation) take the
-    grouped-numpy path, which reproduces the loop bit-for-bit or
-    declines (see :func:`repro.runtime.vectorized.vectorized_fold`).
     """
-    fold_op = getattr(fn, "__columnar_fold__", None)
-    if fold_op is not None:
-        out = vectorized.vectorized_fold(part, key, fold_op)
-        if out is not None:
-            return out, {"records_in": len(part), "records_out": len(out)}
     folded: dict[Any, Any] = {}
-    for record, k in vectorized.keyed_records(part, key):
+    for record in part:
+        k = key(record)
         folded[k] = record if k not in folded else fn(folded[k], record)
     out = list(folded.values())
     return out, {"records_in": len(part), "records_out": len(out)}
@@ -95,8 +70,8 @@ def fold_by_key_kernel(part: list[Any], key: Callable[[Any], Any], fn: Callable[
 def group_reduce_kernel(part: list[Any], key: Callable[[Any], Any], fn: Callable[[Any, list[Any]], Any]):
     """Group records by key and reduce each group with ``fn(key, group)``."""
     groups: dict[Any, list[Any]] = {}
-    for record, k in vectorized.keyed_records(part, key):
-        groups.setdefault(k, []).append(record)
+    for record in part:
+        groups.setdefault(key(record), []).append(record)
     out: list[Any] = []
     for k, group in groups.items():
         out.extend(fn(k, group))
@@ -109,18 +84,11 @@ def route_kernel(part: list[Any], key: Callable[[Any], Any], num_partitions: int
     Returns one bucket per target partition; the parent concatenates
     bucket ``p`` of every source partition in source order, which is
     exactly the record order the serial single-loop shuffle produces.
-
-    Typed blocks with an int64 key column route vectorized
-    (``stable_hash`` is the identity on ``int``) and return the buckets
-    as blocks; the parent's merge handles both shapes.
     """
-    blocks = vectorized.vectorized_route(part, key, num_partitions)
-    if blocks is not None:
-        return blocks, {"records_in": len(part), "records_out": len(part)}
     buckets: list[list[Any]] = [[] for _ in range(num_partitions)]
     appends = [bucket.append for bucket in buckets]
-    for record, k in vectorized.keyed_records(part, key):
-        appends[stable_hash(k) % num_partitions](record)
+    for record in part:
+        appends[stable_hash(key(record)) % num_partitions](record)
     return buckets, {"records_in": len(part), "records_out": len(part)}
 
 
@@ -131,8 +99,8 @@ def build_index_kernel(part: list[Any], key: Callable[[Any], Any]):
     kept resident in the workers across supersteps.
     """
     table: dict[Any, list[Any]] = {}
-    for record, k in vectorized.keyed_records(part, key):
-        table.setdefault(k, []).append(record)
+    for record in part:
+        table.setdefault(key(record), []).append(record)
     return table, {"records_in": len(part), "records_out": len(part)}
 
 
@@ -142,16 +110,11 @@ def probe_join_kernel(
     key: Callable[[Any], Any],
     fn: Callable[[Any, Any], Any],
 ):
-    """Probe a pre-built hash table with every record of ``part``.
-
-    For columnar probe sides the keys stream straight off the key
-    column (no per-record extractor call); the probe loop itself is
-    unchanged — the UDF runs per match either way.
-    """
+    """Probe a pre-built hash table with every record of ``part``."""
     out: list[Any] = []
     get = table.get
-    for record, k in vectorized.keyed_records(part, key):
-        for match in get(k, ()):
+    for record in part:
+        for match in get(key(record), ()):
             out.extend(emitted(fn(record, match)))
     return out, {"records_in": len(part), "records_out": len(out)}
 
@@ -169,12 +132,12 @@ def hash_join_kernel(
     it would be thrown away after one probe anyway.
     """
     table: dict[Any, list[Any]] = {}
-    for record, k in vectorized.keyed_records(right_part, right_key):
-        table.setdefault(k, []).append(record)
+    for record in right_part:
+        table.setdefault(right_key(record), []).append(record)
     out: list[Any] = []
     get = table.get
-    for record, k in vectorized.keyed_records(left_part, left_key):
-        for match in get(k, ()):
+    for record in left_part:
+        for match in get(left_key(record), ()):
             out.extend(emitted(fn(record, match)))
     return out, {"records_in": len(left_part) + len(right_part), "records_out": len(out)}
 
@@ -203,15 +166,15 @@ def co_group_kernel(
     else:
         records_in += len(left)
         left_groups = {}
-        for record, k in vectorized.keyed_records(left, left_key):
-            left_groups.setdefault(k, []).append(record)
+        for record in left:
+            left_groups.setdefault(left_key(record), []).append(record)
     if right_grouped:
         right_groups = right
     else:
         records_in += len(right)
         right_groups = {}
-        for record, k in vectorized.keyed_records(right, right_key):
-            right_groups.setdefault(k, []).append(record)
+        for record in right:
+            right_groups.setdefault(right_key(record), []).append(record)
     out: list[Any] = []
     for k in left_groups.keys() | right_groups.keys():
         out.extend(fn(k, left_groups.get(k, []), right_groups.get(k, [])))

@@ -38,15 +38,6 @@ are shipped once per worker as :class:`Resident` values and cached in a
 worker-local store keyed by ``(executor token, pin index)``; tasks that
 reference residents are pinned to their home worker so the copy is
 reused across supersteps instead of re-shipped.
-
-Typed columnar partition blocks (:mod:`repro.runtime.blocks`) at least
-``ProcessBackend.shm_min_bytes`` large bypass pipe pickling entirely:
-the parent copies their columns into one ``multiprocessing.shared_memory``
-segment per chunk and sends a tiny :class:`~repro.runtime.blocks.ShmBlockRef`
-instead; the worker maps the segment and rebuilds the blocks zero-copy.
-Segments are parent-owned and released the moment the chunk settles, and
-every failure path (attach failure, worker death, unpicklable output)
-falls back to re-running the original, unsubstituted payloads inline.
 """
 
 from __future__ import annotations
@@ -66,7 +57,6 @@ import multiprocessing as mp
 
 from ..config import PARALLEL_BACKENDS
 from ..errors import ConfigError, ExecutionError
-from .blocks import ShmBlockRef, attach_shm_block, export_shm, shm_eligible
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -267,22 +257,6 @@ class ThreadBackend(ExecutionBackend):
 # -- process backend -------------------------------------------------------------
 
 
-def _close_segments(segments: dict[str, Any]) -> None:
-    """Detach one chunk's shm segments, best-effort.
-
-    A ``BufferError`` means some memoryview into the segment is still
-    alive; leaving the mapping open is harmless — the parent's
-    ``unlink`` is authoritative and POSIX reclaims the memory when the
-    worker exits.
-    """
-    for shm in segments.values():
-        try:
-            shm.close()
-        except Exception:
-            pass
-    segments.clear()
-
-
 def _worker_main(conn) -> None:
     """Process-worker loop: receive chunks, run kernels, reply in bulk.
 
@@ -290,12 +264,6 @@ def _worker_main(conn) -> None:
     messages carry the store updates their tasks need, ``drop`` messages
     clear one executor's namespace. All simulated-cost accounting stays
     in the parent — the worker only computes records.
-
-    Columnar block arguments may arrive as :class:`ShmBlockRef` wire
-    stand-ins; the worker attaches the chunk's shared-memory segment
-    once and rebuilds the blocks zero-copy. A failed attach (segment
-    already gone) degrades to a ``redo`` reply — the parent re-runs the
-    chunk inline on the original payloads.
     """
     store: dict[tuple[int, int], Any] = {}
     while True:
@@ -314,36 +282,14 @@ def _worker_main(conn) -> None:
         _, chunk_id, kernel, items, updates = message
         for key, value in updates:
             store[key] = value
-        segments: dict[str, Any] = {}
-        try:
-            resolved_items = [
-                (
-                    index,
-                    tuple(
-                        store[a.key]
-                        if isinstance(a, Resident)
-                        else attach_shm_block(a, segments)
-                        if isinstance(a, ShmBlockRef)
-                        else a
-                        for a in args
-                    ),
-                )
-                for index, args in items
-            ]
-        except Exception:
-            # Shm attach failed; hand the chunk back for inline redo.
-            _close_segments(segments)
-            try:
-                conn.send(("redo", chunk_id))
-                continue
-            except Exception:
-                break
         started = time.perf_counter()
         results: list[tuple[int, Any, dict[str, int]]] = []
         failure = None
-        resolved = out = None
-        for index, resolved in resolved_items:
+        for index, args in items:
             try:
+                resolved = tuple(
+                    store[a.key] if isinstance(a, Resident) else a for a in args
+                )
                 out, counters = kernel(*resolved)
                 results.append((index, out, counters))
             except BaseException as exc:  # noqa: BLE001 - shipped to parent
@@ -367,15 +313,6 @@ def _worker_main(conn) -> None:
                 conn.send(("redo", chunk_id))
             except Exception:
                 break
-        finally:
-            # Kernel outputs copy out of the segment (``take``/fold
-            # build fresh arrays; record tuples hold scalars), so the
-            # only buffer exports left are the resolved inputs — drop
-            # every local that can reach them before detaching.
-            del resolved_items
-            resolved = out = None
-            results = []
-            _close_segments(segments)
 
 
 def _pickle_context():
@@ -416,11 +353,6 @@ class ProcessBackend(ExecutionBackend):
 
     #: errors conn.send raises when a payload cannot be pickled.
     _PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
-
-    #: typed columnar blocks at least this large ship to workers via
-    #: ``multiprocessing.shared_memory`` instead of being pickled into
-    #: the pipe; below it the segment setup costs more than the copy.
-    shm_min_bytes = 32 * 1024
 
     def __init__(self, workers: int, metrics: MetricsRegistry | None = None):
         super().__init__(workers, metrics)
@@ -511,47 +443,6 @@ class ProcessBackend(ExecutionBackend):
 
     # -- dispatch -------------------------------------------------------------
 
-    def _ship_blocks(self, items: list) -> tuple[list, dict[str, Any]]:
-        """Swap large typed blocks in ``items`` for shared-memory refs.
-
-        Returns ``(wire_items, segments)``: the items to send (block
-        arguments replaced by :class:`ShmBlockRef`) and the parent-owned
-        segments to release once the chunk settles. When nothing is
-        eligible the original items pass through untouched.
-        """
-        eligible: dict[int, Any] = {}
-        for _index, args in items:
-            for a in args:
-                if id(a) not in eligible and shm_eligible(a, self.shm_min_bytes):
-                    eligible[id(a)] = a
-        if not eligible:
-            return items, {}
-        blocks = list(eligible.values())
-        try:
-            shm, refs = export_shm(blocks)
-        except Exception:
-            # /dev/shm unavailable or exhausted: pickle through the pipe.
-            return items, {}
-        mapping = {bid: ref for bid, ref in zip(eligible, refs)}
-        wire_items = [
-            (index, tuple(mapping.get(id(a), a) for a in args))
-            for index, args in items
-        ]
-        return wire_items, {shm.name: shm}
-
-    @staticmethod
-    def _release_shipment(segments: dict[str, Any]) -> None:
-        """Free a chunk's segments: detach and remove the backing file."""
-        for shm in segments.values():
-            try:
-                shm.close()
-            except Exception:
-                pass
-            try:
-                shm.unlink()
-            except Exception:
-                pass
-
     def run(self, kernel: Callable, tasks: Sequence[tuple], *, weight: str = HEAVY) -> list[Any]:
         if not tasks:
             return []
@@ -605,13 +496,8 @@ class ProcessBackend(ExecutionBackend):
         results: list[Any] = [None] * len(tasks)
         errors: list[tuple[int, BaseException]] = []
         outstanding: dict[int, tuple[int, list]] = {}  # wid -> (chunk_id, items)
-        #: chunk_id -> shm segments backing its in-flight block refs;
-        #: released when the chunk settles (ok/fail/redo/worker death).
-        shipments: dict[int, dict[str, Any]] = {}
         chunk_ids = itertools.count()
         dispatched = completed = stolen = fallbacks = respawns = 0
-        shm_chunks = 0
-        shm_bytes = 0
         busy_total = 0.0
         started = time.perf_counter()
         respawn_budget = nw * 2
@@ -640,7 +526,7 @@ class ProcessBackend(ExecutionBackend):
 
         def send_chunk(wid, chunk, was_stolen):
             """Ship one chunk; returns True when it is now outstanding."""
-            nonlocal dispatched, stolen, shm_chunks, shm_bytes
+            nonlocal dispatched, stolen
             _pinned, items = chunk
             handle = self._handles[wid]
             updates = []
@@ -652,16 +538,12 @@ class ProcessBackend(ExecutionBackend):
                         updates.append((a.key, a.value))
                         update_keys.append(a.key)
             chunk_id = next(chunk_ids)
-            # ``outstanding`` keeps the ORIGINAL items: redo replies and
-            # worker deaths re-run them with real blocks, never refs.
-            wire_items, segments = self._ship_blocks(items)
             while True:
                 try:
-                    handle.conn.send(("run", chunk_id, kernel, wire_items, updates))
+                    handle.conn.send(("run", chunk_id, kernel, items, updates))
                 except self._PICKLE_ERRORS:
                     # Unpicklable UDF/records: run inline, correctness first.
                     handle.sent.difference_update(update_keys)
-                    self._release_shipment(segments)
                     run_chunk_inline(items)
                     return False
                 except (BrokenPipeError, OSError, EOFError):
@@ -679,74 +561,61 @@ class ProcessBackend(ExecutionBackend):
                     continue
                 break
             dispatched += 1
-            if segments:
-                shm_chunks += 1
-                shm_bytes += sum(seg.size for seg in segments.values())
-                shipments[chunk_id] = segments
             if was_stolen:
                 stolen += 1
             outstanding[wid] = (chunk_id, items)
             return True
 
-        try:
-            while True:
-                for wid in range(nw):
-                    while wid not in outstanding:
-                        chunk, was_stolen = self._take(pending, wid)
-                        if chunk is None:
-                            break
-                        if send_chunk(wid, chunk, was_stolen):
-                            break
-                if not outstanding:
-                    if any(pending):  # pragma: no cover - invariant guard
-                        raise ExecutionError("internal: undispatchable parallel chunks")
-                    break
-                conn_to_wid = {
-                    self._handles[wid].conn: wid for wid in outstanding
-                }
-                ready = mp_connection.wait(list(conn_to_wid))
-                for conn in ready:
-                    wid = conn_to_wid[conn]
-                    chunk_id, items = outstanding[wid]
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        # Worker died mid-chunk: respawn and redo its chunk.
-                        del outstanding[wid]
-                        self._release_shipment(shipments.pop(chunk_id, {}))
-                        revive(wid)
-                        pending[wid].appendleft((True, items))
-                        continue
+        while True:
+            for wid in range(nw):
+                while wid not in outstanding:
+                    chunk, was_stolen = self._take(pending, wid)
+                    if chunk is None:
+                        break
+                    if send_chunk(wid, chunk, was_stolen):
+                        break
+            if not outstanding:
+                if any(pending):  # pragma: no cover - invariant guard
+                    raise ExecutionError("internal: undispatchable parallel chunks")
+                break
+            conn_to_wid = {
+                self._handles[wid].conn: wid for wid in outstanding
+            }
+            ready = mp_connection.wait(list(conn_to_wid))
+            for conn in ready:
+                wid = conn_to_wid[conn]
+                chunk_id, items = outstanding[wid]
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    # Worker died mid-chunk: respawn and redo its chunk.
                     del outstanding[wid]
-                    self._release_shipment(shipments.pop(chunk_id, {}))
-                    kind = message[0]
-                    if kind == "ok":
-                        _, _cid, chunk_results, busy = message
-                        busy_total += busy
-                        completed += 1
-                        for index, out, _counters in chunk_results:
-                            results[index] = out
-                    elif kind == "fail":
-                        _, _cid, index, payload, text, busy = message
-                        busy_total += busy
-                        completed += 1
-                        exc: BaseException | None = None
-                        if payload is not None:
-                            try:
-                                exc = pickle.loads(payload)
-                            except Exception:
-                                exc = None
-                        if exc is None:
-                            exc = ExecutionError(f"parallel worker kernel failed: {text}")
-                        errors.append((index, exc))
-                    else:  # "redo": shm attach or output pickling failed
-                        run_chunk_inline(items)
-        finally:
-            # A mid-dispatch raise (respawn budget exhausted) must not
-            # leak /dev/shm segments of still-outstanding chunks.
-            for segments in shipments.values():
-                self._release_shipment(segments)
-            shipments.clear()
+                    revive(wid)
+                    pending[wid].appendleft((True, items))
+                    continue
+                del outstanding[wid]
+                kind = message[0]
+                if kind == "ok":
+                    _, _cid, chunk_results, busy = message
+                    busy_total += busy
+                    completed += 1
+                    for index, out, _counters in chunk_results:
+                        results[index] = out
+                elif kind == "fail":
+                    _, _cid, index, payload, text, busy = message
+                    busy_total += busy
+                    completed += 1
+                    exc: BaseException | None = None
+                    if payload is not None:
+                        try:
+                            exc = pickle.loads(payload)
+                        except Exception:
+                            exc = None
+                    if exc is None:
+                        exc = ExecutionError(f"parallel worker kernel failed: {text}")
+                    errors.append((index, exc))
+                else:  # "redo": worker output failed to pickle
+                    run_chunk_inline(items)
 
         wall = time.perf_counter() - started
         metrics = self.metrics
@@ -759,9 +628,6 @@ class ProcessBackend(ExecutionBackend):
             metrics.increment("parallel.inline_fallbacks", fallbacks)
         if respawns:
             metrics.increment("parallel.worker_respawns", respawns)
-        if shm_chunks:
-            metrics.increment("parallel.shm_chunks", shm_chunks)
-            metrics.increment("parallel.shm_bytes", shm_bytes)
         if wall > 0 and dispatched:
             metrics.observe(
                 "parallel.worker_utilization", min(1.0, busy_total / (wall * nw))

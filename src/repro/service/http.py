@@ -176,7 +176,18 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Where the body ends is unknown, so the connection cannot
+            # carry another request.
+            self.close_connection = True
+            raise ConfigError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         try:
             data = json.loads(raw.decode("utf-8"))

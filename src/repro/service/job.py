@@ -42,7 +42,7 @@ from ..core.checkpointing import CheckpointRecovery
 from ..core.confined import ConfinedRecovery
 from ..core.incremental import IncrementalCheckpointRecovery
 from ..core.recovery import RecoveryStrategy
-from ..core.restart import LineageRecovery, RestartRecovery
+from ..core.restart import RestartRecovery
 from ..errors import (
     ConfigError,
     JobCancelledError,
@@ -247,8 +247,6 @@ class JobSpec:
             return CheckpointRecovery(interval=self.checkpoint_interval)
         if self.recovery == "incremental":
             return IncrementalCheckpointRecovery()
-        if self.recovery == "restart":
-            return RestartRecovery()
         if self.recovery == "confined":
             return ConfinedRecovery()
         if self.recovery == "adaptive":
@@ -257,7 +255,7 @@ class JobSpec:
                 getattr(job, "invariants", None),
                 checkpoint_interval=self.checkpoint_interval,
             )
-        return LineageRecovery()
+        return RestartRecovery()
 
     def run_standalone(
         self,

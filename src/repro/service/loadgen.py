@@ -67,10 +67,6 @@ class WorkloadConfig:
             bit-identical either way.
         parallel_workers: intra-job worker count for a parallel backend
             (the service's core budget may clamp it further).
-        columnar: pack every generated job's partition payloads into
-            typed columnar blocks; ``None`` keeps the engine default
-            (the ``REPRO_COLUMNAR`` environment variable). Like the
-            backend choice, it never changes per-job outputs.
         tenants: tenant names jobs are assigned to round-robin (for the
             multi-tenant fairness experiments); empty (the default)
             leaves every spec on the ``"default"`` tenant.
@@ -91,7 +87,6 @@ class WorkloadConfig:
     backoff_base: float = 0.01
     parallel_backend: str | None = None
     parallel_workers: int | None = None
-    columnar: bool | None = None
     tenants: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -148,8 +143,6 @@ class WorkloadConfig:
             overrides["parallel_backend"] = self.parallel_backend
         if self.parallel_workers is not None:
             overrides["parallel_workers"] = self.parallel_workers
-        if self.columnar is not None:
-            overrides["columnar"] = self.columnar
         return overrides
 
 

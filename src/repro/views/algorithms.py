@@ -50,7 +50,6 @@ from ..errors import GraphError
 from ..graph.graph import Graph
 from ..iteration.bulk import BulkIterationSpec
 from ..iteration.termination import NoUpdates
-from ..runtime import vectorized
 from .mutations import Mutation, MutationEpoch, MutationKind
 
 #: the component-id key of the derived component-mass view.
@@ -346,9 +345,6 @@ def _component_rank(label: Any, rank: Any) -> Any:
 
 def _sum_component_mass(left: Any, right: Any) -> Any:
     return (left[0], left[1] + right[1])
-
-
-vectorized.mark_fold(_sum_component_mass, "sum")
 
 
 def _keep_new_mass(new: Any, old: Any) -> Any:

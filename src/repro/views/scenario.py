@@ -52,7 +52,7 @@ class ScenarioConfig:
         views: the orchestrator's :class:`repro.config.ViewsConfig`.
         engine_config: full engine configuration of the refresh jobs;
             ``None`` (default) derives one from ``parallelism``. Lets
-            the CLI thread backend/columnar overrides through.
+            the CLI thread its backend overrides through.
     """
 
     num_components: int = 4

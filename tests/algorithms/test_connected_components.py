@@ -12,7 +12,7 @@ from repro.algorithms.connected_components import (
 from repro.algorithms.reference import exact_connected_components
 from repro.config import EngineConfig
 from repro.core.checkpointing import CheckpointRecovery
-from repro.core.restart import LineageRecovery, RestartRecovery
+from repro.core.restart import RestartRecovery
 from repro.graph.generators import (
     chain_graph,
     demo_graph,
@@ -125,15 +125,6 @@ class TestWithFailures:
         result = connected_components(graph).run(
             config=CONFIG,
             recovery=RestartRecovery(),
-            failures=FailureSchedule.single(2, [0]),
-        )
-        _assert_correct(graph, result)
-
-    def test_lineage_recovery_correct(self):
-        graph = demo_graph()
-        result = connected_components(graph).run(
-            config=CONFIG,
-            recovery=LineageRecovery(),
             failures=FailureSchedule.single(2, [0]),
         )
         _assert_correct(graph, result)

@@ -8,7 +8,7 @@ from repro.core.checkpointing import CheckpointRecovery
 from repro.core.compensation import CompensationContext, CompensationFunction
 from repro.core.guarantees import KeySetPreserved, MassConservation
 from repro.core.optimistic import OptimisticRecovery
-from repro.core.restart import LineageRecovery, RestartRecovery
+from repro.core.restart import RestartRecovery
 from repro.errors import CompensationError, IterationError
 from repro.runtime.clock import CostCategory
 from repro.runtime.events import EventKind
@@ -68,13 +68,6 @@ class TestRestartRecovery:
         events = recovery_ctx.cluster.events.of_kind(EventKind.RESTART)
         assert len(events) == 1
         assert events[0].superstep == 5
-
-    def test_lineage_shares_behaviour_with_its_own_name(self, recovery_ctx):
-        state = damaged_state(recovery_ctx, [0])
-        outcome = LineageRecovery().recover(recovery_ctx, 1, state, None, [0])
-        assert outcome.restarted
-        event = recovery_ctx.cluster.events.of_kind(EventKind.RESTART)[0]
-        assert event.details["strategy"] == "lineage"
 
 
 class TestCheckpointRecovery:

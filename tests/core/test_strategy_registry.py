@@ -9,7 +9,7 @@ from repro.core.checkpointing import CheckpointRecovery
 from repro.core.confined import ConfinedRecovery
 from repro.core.incremental import IncrementalCheckpointRecovery
 from repro.core.optimistic import OptimisticRecovery
-from repro.core.restart import LineageRecovery, RestartRecovery
+from repro.core.restart import RestartRecovery
 from repro.errors import ConfigError
 
 from .test_strategies import ResetCompensation
@@ -20,7 +20,6 @@ class TestBuildStrategy:
         compensation = ResetCompensation()
         expected = {
             "restart": RestartRecovery,
-            "lineage": LineageRecovery,
             "checkpoint": CheckpointRecovery,
             "incremental": IncrementalCheckpointRecovery,
             "optimistic": OptimisticRecovery,
@@ -36,8 +35,10 @@ class TestBuildStrategy:
             assert strategy.name.startswith(name)
 
     def test_unknown_name_lists_valid_strategies(self):
-        with pytest.raises(ConfigError, match="valid strategies"):
-            build_strategy("telepathy")
+        # "lineage" is rejected like any unknown name: removed, not aliased.
+        for name in ("telepathy", "lineage"):
+            with pytest.raises(ConfigError, match="valid strategies"):
+                build_strategy(name)
 
     def test_optimistic_without_compensation_is_a_config_error(self):
         with pytest.raises(ConfigError, match="compensation"):

@@ -151,6 +151,16 @@ class TestParallelFlags:
             main(["--parallel-backend", "bogus"])
         assert excinfo.value.code == 2
 
+    def test_removed_modes_are_usage_errors(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--columnar"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert main(["--strategy", "lineage"]) == 2
+        out = capsys.readouterr().out
+        assert "unknown recovery strategy 'lineage'" in out
+        assert "valid strategies are" in out
+
     def test_non_positive_workers_exit_2(self, capsys):
         assert main(["--parallel-workers", "0"]) == 2
         assert "parallel_workers" in capsys.readouterr().out

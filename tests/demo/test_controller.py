@@ -106,7 +106,7 @@ class TestDemoRun:
         assert len(stats.converged.values) == run.result.supersteps
 
     def test_recovery_choices(self):
-        for recovery in ("optimistic", "checkpoint", "restart", "lineage"):
+        for recovery in ("optimistic", "checkpoint", "restart"):
             session = DemoSession(algorithm="connected-components", graph="small")
             session.schedule_failure(1, [0])
             run = session.press_play(recovery=recovery)

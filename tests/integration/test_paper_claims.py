@@ -12,7 +12,7 @@ from repro.algorithms.pagerank import pagerank
 from repro.algorithms.reference import exact_connected_components, exact_pagerank
 from repro.config import EngineConfig
 from repro.core.checkpointing import CheckpointRecovery
-from repro.core.restart import LineageRecovery, RestartRecovery
+from repro.core.restart import RestartRecovery
 from repro.graph.generators import multi_component_graph, twitter_like_graph
 from repro.runtime.clock import CostCategory
 from repro.runtime.failures import FailureSchedule
@@ -65,7 +65,7 @@ class TestOptimalFailureFreePerformance:
 
 class TestRecoveryUnderFailures:
     """§2.2: after a failure, optimistic recovery compensates and resumes;
-    rollback pays restore + re-execution; restart/lineage re-run."""
+    rollback pays restore + re-execution; restart re-runs."""
 
     def _run_all(self, failure_superstep=4):
         graph = twitter_like_graph(100, seed=4)
@@ -81,9 +81,6 @@ class TestRecoveryUnderFailures:
         )
         results["restart"] = pagerank(graph, max_supersteps=500).run(
             config=CONFIG, recovery=RestartRecovery(), failures=schedule
-        )
-        results["lineage"] = pagerank(graph, max_supersteps=500).run(
-            config=CONFIG, recovery=LineageRecovery(), failures=schedule
         )
         return truth, results
 
@@ -121,13 +118,6 @@ class TestRecoveryUnderFailures:
         assert optimistic.sim_time < checkpoint.sim_time
         assert optimistic.sim_time < restart.sim_time
         assert optimistic.supersteps <= restart.supersteps
-
-    def test_restart_and_lineage_behave_identically(self):
-        """§2.2: lineage recovery 'has to restart from scratch' for
-        iterative dataflows with all-to-all dependencies."""
-        _truth, results = self._run_all()
-        assert results["restart"].supersteps == results["lineage"].supersteps
-        assert results["restart"].sim_time == pytest.approx(results["lineage"].sim_time)
 
     def test_optimistic_beats_restart_under_late_failure(self):
         """The later the failure, the more work a restart wastes."""

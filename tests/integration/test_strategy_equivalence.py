@@ -20,7 +20,6 @@ from repro.config import EngineConfig
 from repro.core import (
     CheckpointRecovery,
     IncrementalCheckpointRecovery,
-    LineageRecovery,
     RestartRecovery,
 )
 from repro.graph.generators import erdos_renyi_graph, twitter_like_graph
@@ -35,7 +34,6 @@ def _delta_strategies(job):
         CheckpointRecovery(interval=2),
         IncrementalCheckpointRecovery(),
         RestartRecovery(),
-        LineageRecovery(),
     ]
 
 

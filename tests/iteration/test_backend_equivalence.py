@@ -17,13 +17,13 @@ from repro.algorithms.pagerank import pagerank
 from repro.config import PARALLEL_BACKENDS, EngineConfig
 from repro.core.checkpointing import CheckpointRecovery
 from repro.core.incremental import IncrementalCheckpointRecovery
-from repro.core.restart import LineageRecovery, RestartRecovery
+from repro.core.restart import RestartRecovery
 from repro.errors import RecoveryError
 from repro.graph.generators import multi_component_graph, twitter_like_graph
 from repro.runtime.failures import FailureSchedule
 
 #: strategies applicable to both iteration models.
-COMMON_RECOVERIES = ("optimistic", "checkpoint", "restart", "lineage")
+COMMON_RECOVERIES = ("optimistic", "checkpoint", "restart")
 
 
 def _strategy(job, name):
@@ -32,7 +32,6 @@ def _strategy(job, name):
         "checkpoint": lambda: CheckpointRecovery(interval=2),
         "incremental": IncrementalCheckpointRecovery,
         "restart": RestartRecovery,
-        "lineage": LineageRecovery,
     }[name]()
 
 

@@ -15,14 +15,14 @@ from repro.algorithms.connected_components import connected_components
 from repro.algorithms.pagerank import pagerank
 from repro.config import EngineConfig
 from repro.core.checkpointing import CheckpointRecovery
-from repro.core.restart import LineageRecovery, RestartRecovery
+from repro.core.restart import RestartRecovery
 from repro.graph.generators import multi_component_graph, twitter_like_graph
 from repro.observability.convergence import ConvergenceMonitor
 from repro.observability.telemetry import RunTelemetry, TelemetryCollector
 from repro.observability.telemetry_log import TelemetryLog
 from repro.runtime.failures import FailureSchedule
 
-COMMON_RECOVERIES = ("optimistic", "checkpoint", "restart", "lineage")
+COMMON_RECOVERIES = ("optimistic", "checkpoint", "restart")
 
 
 def _strategy(job, name):
@@ -30,7 +30,6 @@ def _strategy(job, name):
         "optimistic": job.optimistic,
         "checkpoint": lambda: CheckpointRecovery(interval=2),
         "restart": RestartRecovery,
-        "lineage": LineageRecovery,
     }[name]()
 
 

@@ -1,9 +1,9 @@
 """Executor-level behavior of the superstep execution cache.
 
 Covers the three entry kinds (operator outputs, shuffle placements, join
-build indexes), the two modes' cost semantics (transparent replays
-charges bit-identically, modeled skips them), hit/miss accounting and
-invalidation-triggered recomputation.
+build indexes), the cache's cost semantics (hits replay their charges
+bit-identically), hit/miss accounting and invalidation-triggered
+recomputation.
 """
 
 import pytest
@@ -54,10 +54,8 @@ def _bindings(plan, superstep=0):
     return {"state": state, "lookup": lookup}
 
 
-def _cache(plan, mode="transparent", metrics=None):
-    return SuperstepExecutionCache(
-        analyze_invariants(plan, {"state"}), mode=mode, metrics=metrics
-    )
+def _cache(plan, metrics=None):
+    return SuperstepExecutionCache(analyze_invariants(plan, {"state"}), metrics=metrics)
 
 
 def _run(executor, plan, cache=None, superstep=0):
@@ -124,33 +122,6 @@ class TestTransparentMode:
         assert cache.hit_rate() == 0.5
 
 
-class TestModeledMode:
-    def test_results_identical_but_charges_skipped(self):
-        plan = _chain_plan()
-        modeled_exec = PlanExecutor(PARALLELISM)
-        plain_exec = PlanExecutor(PARALLELISM)
-        cache = _cache(plan, mode="modeled")
-        first_modeled = _run(modeled_exec, plan, cache)
-        first_plain = _run(plain_exec, plan)
-        assert first_modeled == first_plain
-        assert modeled_exec.clock.now == plain_exec.clock.now  # miss round: full price
-        second_modeled = _run(modeled_exec, plan, cache, superstep=1)
-        second_plain = _run(plain_exec, plan, superstep=1)
-        assert second_modeled == second_plain
-        assert modeled_exec.clock.now < plain_exec.clock.now  # hits are free
-
-    def test_probe_side_still_charged(self):
-        plan = _chain_plan()
-        executor = PlanExecutor(PARALLELISM)
-        cache = _cache(plan, mode="modeled")
-        _run(executor, plan, cache)
-        before = executor.clock.now
-        _run(executor, plan, cache, superstep=1)
-        # The dynamic probe side still pays compute; only invariant work
-        # (prep, its shuffle, the build table) became free.
-        assert executor.clock.now > before
-
-
 class TestInvalidation:
     def test_entries_recomputed_after_invalidate(self):
         plan = _chain_plan()
@@ -196,11 +167,6 @@ class TestInvalidation:
 
 
 class TestGuards:
-    def test_unknown_mode_rejected(self):
-        plan = _chain_plan()
-        with pytest.raises(ExecutionError, match="mode"):
-            SuperstepExecutionCache(analyze_invariants(plan, {"state"}), mode="bogus")
-
     def test_wrong_plan_name_rejected(self):
         plan = _chain_plan()
         cache = _cache(plan)
@@ -247,14 +213,3 @@ class TestChargeLog:
         log.replay(clock, metrics)
         assert clock.now == executor.clock.now
         assert metrics.get("x") == 3
-
-    def test_replay_skipped_when_not_charging(self):
-        plan = _chain_plan()
-        executor = PlanExecutor(PARALLELISM)
-        cache = _cache(plan)
-        with cache.recording(executor) as log:
-            executor.clock.charge_network(5)
-        clock = SimulatedClock()
-        metrics = MetricsRegistry()
-        log.replay(clock, metrics, charge=False)
-        assert clock.now == 0.0

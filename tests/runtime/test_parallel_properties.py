@@ -131,6 +131,35 @@ def test_random_plans_identical_across_backends(
     assert _execute("processes", plan, sources, output, parallelism) == baseline
 
 
+_field = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+    st.booleans(),
+    st.none(),
+)
+ragged_records = st.lists(
+    st.one_of(*(st.tuples(*[_field] * width) for width in (1, 2, 3, 4))),
+    max_size=24,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(records=ragged_records, parallelism=st.integers(min_value=1, max_value=5))
+def test_shuffle_merge_matches_serial_loop_on_ragged_records(records, parallelism):
+    """The pooled backends shuffle by routing each source partition into
+    buckets and concatenating bucket ``p`` of every source; the serial
+    backend fuses both into one loop. Same partitions, same order, for
+    records of any width and field type."""
+    plan = Plan("shuffle-only")
+    plan.source("a", partitioned_by=KEY)
+    sources = {"a": records}
+    baseline = _execute("serial", plan, sources, "a", parallelism)
+    assert sorted(map(repr, sum(baseline[0], []))) == sorted(map(repr, records))
+    assert _execute("threads", plan, sources, "a", parallelism) == baseline
+    assert _execute("processes", plan, sources, "a", parallelism) == baseline
+
+
 @settings(max_examples=6, deadline=None)
 @given(
     superstep=st.integers(min_value=1, max_value=4),

@@ -1,5 +1,6 @@
 """Tests for the HTTP front door: routes, status codes, both backends."""
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -105,6 +106,22 @@ class TestLocalBackendRoutes:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=30)
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, front_door, length):
+        host, port = front_door.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            conn.putrequest("POST", "/api/v1/jobs")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(b"{}")
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        code, _ = request(front_door, "GET", "/api/v1/health")
+        assert code == 200
 
     def test_result_before_terminal_is_409(self, front_door):
         # A job with enough supersteps to still be running at first poll.

@@ -63,6 +63,5 @@ def test_every_strategy_is_exported():
         "CheckpointRecovery",
         "IncrementalCheckpointRecovery",
         "RestartRecovery",
-        "LineageRecovery",
     ):
         assert strategy in core.__all__
