@@ -31,15 +31,9 @@ from ..observability.tracer import Tracer
 from ..runtime.failures import FailureSchedule
 
 
-@dataclass
-class BulkJob:
-    """A runnable bulk-iterative job (PageRank, K-Means)."""
-
-    spec: BulkIterationSpec
-    initial_records: list[Any]
-    statics: dict[str, list[Any]] = field(default_factory=dict)
-    compensation: CompensationFunction | None = None
-    invariants: list[StateInvariant] = field(default_factory=list)
+class _IterativeJob:
+    """What :class:`BulkJob` and :class:`DeltaJob` share; only the inputs
+    their ``_launch`` hands to its ``run_*_iteration`` differ."""
 
     def run(
         self,
@@ -51,17 +45,11 @@ class BulkJob:
         tracer: Tracer | None = None,
         telemetry: RunTelemetry | None = None,
     ) -> IterationResult:
-        """Execute the job; see :func:`repro.iteration.run_bulk_iteration`."""
-        return run_bulk_iteration(
-            self.spec,
-            self.initial_records,
-            self.statics,
-            config=config,
-            recovery=recovery,
-            failures=failures,
-            snapshots=snapshots,
-            tracer=tracer,
-            telemetry=telemetry,
+        """Execute the job; see :func:`repro.iteration.run_bulk_iteration` /
+        :func:`repro.iteration.run_delta_iteration` for the options."""
+        return self._launch(
+            config=config, recovery=recovery, failures=failures,
+            snapshots=snapshots, tracer=tracer, telemetry=telemetry,
         )
 
     def optimistic(self) -> OptimisticRecovery:
@@ -78,7 +66,21 @@ class BulkJob:
 
 
 @dataclass
-class DeltaJob:
+class BulkJob(_IterativeJob):
+    """A runnable bulk-iterative job (PageRank, K-Means)."""
+
+    spec: BulkIterationSpec
+    initial_records: list[Any]
+    statics: dict[str, list[Any]] = field(default_factory=dict)
+    compensation: CompensationFunction | None = None
+    invariants: list[StateInvariant] = field(default_factory=list)
+
+    def _launch(self, **options: Any) -> IterationResult:
+        return run_bulk_iteration(self.spec, self.initial_records, self.statics, **options)
+
+
+@dataclass
+class DeltaJob(_IterativeJob):
     """A runnable delta-iterative job (Connected Components, SSSP)."""
 
     spec: DeltaIterationSpec
@@ -88,38 +90,7 @@ class DeltaJob:
     compensation: CompensationFunction | None = None
     invariants: list[StateInvariant] = field(default_factory=list)
 
-    def run(
-        self,
-        *,
-        config: EngineConfig = DEFAULT_CONFIG,
-        recovery: RecoveryStrategy | None = None,
-        failures: FailureSchedule | None = None,
-        snapshots: SnapshotStore | None = None,
-        tracer: Tracer | None = None,
-        telemetry: RunTelemetry | None = None,
-    ) -> IterationResult:
-        """Execute the job; see :func:`repro.iteration.run_delta_iteration`."""
+    def _launch(self, **options: Any) -> IterationResult:
         return run_delta_iteration(
-            self.spec,
-            self.initial_solution,
-            self.initial_workset,
-            self.statics,
-            config=config,
-            recovery=recovery,
-            failures=failures,
-            snapshots=snapshots,
-            tracer=tracer,
-            telemetry=telemetry,
+            self.spec, self.initial_solution, self.initial_workset, self.statics, **options
         )
-
-    def optimistic(self) -> OptimisticRecovery:
-        """An :class:`OptimisticRecovery` wired with this algorithm's
-        compensation function and invariants."""
-        if self.compensation is None:
-            raise ValueError(f"job {self.spec.name!r} defines no compensation function")
-        return OptimisticRecovery(self.compensation, self.invariants)
-
-    @property
-    def truth(self) -> dict[Any, Any] | None:
-        """The precomputed correct final state, if the factory provided one."""
-        return self.spec.truth

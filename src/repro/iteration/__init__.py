@@ -9,11 +9,13 @@ here:
   set* and a *workset* of pending updates, terminating when the workset
   runs empty — Connected Components' mode.
 
-Both drivers execute a user-supplied *step plan* once per superstep,
-inject scheduled failures at the end of a superstep's compute phase,
-delegate to a pluggable recovery strategy (:mod:`repro.core`), collect the
-per-superstep statistics the demo GUI plots, and can snapshot state for
-the demo's backward/replay buttons.
+One driver, two step plug-ins: :mod:`repro.iteration.driver` runs the
+superstep loop for both modes — execute the *step plan*, inject scheduled
+failures at the end of the compute phase, delegate to a pluggable recovery
+strategy (:mod:`repro.core`), collect the per-superstep statistics the
+demo GUI plots, snapshot state for its backward/replay buttons. A mode
+supplies only its initial datasets, its step, and how its partitions are
+viewed, lost and reinstalled.
 """
 
 from .bulk import BulkIterationSpec, run_bulk_iteration

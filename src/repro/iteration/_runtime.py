@@ -1,4 +1,4 @@
-"""Internal: per-run runtime assembly shared by the bulk and delta drivers."""
+"""Internal: per-run runtime assembly for the superstep driver."""
 
 from __future__ import annotations
 
@@ -34,25 +34,8 @@ class JobRuntime:
         return self.cluster.clock
 
     @property
-    def events(self):
-        return self.cluster.events
-
-    @property
     def metrics(self):
         return self.executor.metrics
-
-    @property
-    def tracer(self):
-        return self.executor.tracer
-
-    def close(self) -> None:
-        """End-of-run cleanup: drop worker-resident side values.
-
-        The shared thread/process pools stay alive for the next run;
-        only this run's shipped build indexes and broadcasts are
-        released.
-        """
-        self.executor.release_residents()
 
 
 def build_runtime(
@@ -120,23 +103,18 @@ def bind_statics(
     return bound
 
 
-def pin_initial_inputs(
-    runtime: JobRuntime,
-    ctx: RecoveryContext,
-    initial_state: PartitionedDataset,
-    initial_workset: PartitionedDataset | None,
-) -> None:
+def pin_initial_inputs(storage: StableStorage, ctx: RecoveryContext) -> None:
     """Write the initial inputs to stable storage, uncharged.
 
     Every real deployment starts with its inputs on a distributed
     filesystem, so pinning them is free; *reading them back* after a
     failure is charged (restart recovery pays it).
     """
-    for pid, records in enumerate(initial_state.partitions):
-        runtime.storage.write(ctx.initial_state_key(pid), records or [], charge=False)
-    if initial_workset is not None:
-        for pid, records in enumerate(initial_workset.partitions):
-            runtime.storage.write(ctx.initial_workset_key(pid), records or [], charge=False)
+    for pid, records in enumerate(ctx.initial_state.partitions):
+        storage.write(ctx.initial_state_key(pid), records or [], charge=False)
+    if ctx.initial_workset is not None:
+        for pid, records in enumerate(ctx.initial_workset.partitions):
+            storage.write(ctx.initial_workset_key(pid), records or [], charge=False)
 
 
 def count_converged(

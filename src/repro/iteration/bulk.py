@@ -14,29 +14,22 @@ acquires replacement workers, and delegates state repair to the configured
 
 from __future__ import annotations
 
-from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..config import DEFAULT_CONFIG, EngineConfig
-from ..core.recovery import RecoveryContext, RecoveryStrategy
-from ..core.restart import RestartRecovery
-from ..core.strategies import resolve_recovery
+from ..core.recovery import RecoveryOutcome, RecoveryStrategy
 from ..dataflow.datatypes import KeySpec
-from ..dataflow.invariants import analyze_invariants
 from ..dataflow.plan import Plan
-from ..errors import IterationError, TerminationError
-from ..observability.span import SpanKind
+from ..errors import IterationError
 from ..observability.telemetry import RunTelemetry
-from ..observability.tracer import NOOP_TRACER, Tracer
-from ..runtime.cache import SuperstepExecutionCache
-from ..runtime.events import EventKind
-from ..runtime.executor import PartitionedDataset
+from ..observability.tracer import Tracer
 from ..runtime.failures import FailureSchedule
-from ..runtime.metrics import IterationStats, StatsSeries
-from ._runtime import bind_statics, build_runtime, count_converged, pin_initial_inputs
+from ..runtime.metrics import IterationStats
+from ._runtime import JobRuntime, count_converged
+from .driver import StepPlugin, run_supersteps
 from .result import IterationResult
-from .snapshots import SnapshotPhase, SnapshotStore
+from .snapshots import SnapshotStore
 from .termination import TerminationCriterion
 
 
@@ -91,10 +84,6 @@ class BulkIterationSpec:
         self.step_plan.operator_by_name(self.next_state_output)
 
 
-def _values(records: Iterable[Any]) -> dict[Any, Any]:
-    return {record[0]: record[1] for record in records}
-
-
 def _l1_delta(
     old: list[Any], new: list[Any], value_fn: Callable[[Any], float]
 ) -> float:
@@ -105,12 +94,85 @@ def _l1_delta(
 
 
 def _count_updates(old: list[Any], new: list[Any]) -> int:
-    old_values = _values(old)
+    old_values = {record[0]: record[1] for record in old}
     changed = 0
     for record in new:
         if old_values.get(record[0]) != record[1]:
             changed += 1
     return changed
+
+
+class _BulkLoop(StepPlugin):
+    """The bulk step plug-in: the state is one dataset, replaced wholesale
+    every superstep."""
+
+    mode = "bulk"
+
+    def __init__(
+        self, spec: BulkIterationSpec, initial_records: Iterable[Any], snapshotting: bool
+    ):
+        super().__init__(spec, {spec.state_source})
+        self._initial_records = initial_records
+        self._track_l1 = spec.value_fn is not None
+        # Update counting is an O(|state|) dict-building pass; run it only
+        # when something consumes ``stats.updates``: L1 tracking, snapshot
+        # capture, truth comparison, or a termination criterion that reads it.
+        self._track_updates = (
+            self._track_l1
+            or snapshotting
+            or spec.truth is not None
+            or spec.termination.uses_updates
+        )
+
+    def start(self, runtime: JobRuntime):
+        self.runtime = runtime
+        initial_state = self._partition(self._initial_records)
+        if initial_state.num_records() == 0:
+            raise IterationError(
+                f"bulk iteration {self.spec.name!r} started with empty state"
+            )
+        self.state = initial_state.copy()
+        return initial_state, None, None
+
+    def step(self, statics, cache, stats: IterationStats) -> None:
+        spec = self.spec
+        previous = self.state.all_records() if self._track_updates else None
+        outputs = self.runtime.executor.execute(
+            spec.step_plan,
+            {spec.state_source: self.state, **statics},
+            outputs=[spec.next_state_output],
+            cache=cache,
+        )
+        self.state = self._repartition(outputs[spec.next_state_output], "state")
+        # One materialization pass per superstep, shared by update
+        # counting, L1 tracking and truth comparison.
+        if self._track_updates:
+            self._computed = self.state.all_records()
+            stats.updates = _count_updates(previous, self._computed)
+        if self._track_l1:
+            stats.l1_delta = _l1_delta(previous, self._computed, spec.value_fn)
+
+    def view(self):
+        return self.state, None
+
+    def lose(self, lost: list[int]) -> None:
+        self.state.lose(lost)
+
+    def install(self, outcome: RecoveryOutcome, recovery: RecoveryStrategy) -> None:
+        self.state = self._repartition(outcome.state, "recovered")
+
+    def finish(self, stats: IterationStats) -> dict[str, Any]:
+        spec = self.spec
+        if spec.truth is not None:
+            # A failed superstep's recovery replaced the computed state.
+            records = self.records() if stats.failed else self._computed
+            stats.converged = count_converged(
+                records, spec.truth, spec.truth_tolerance, job=spec.name
+            )
+        return {}
+
+    def records(self) -> list[Any]:
+        return self.state.all_records()
 
 
 def run_bulk_iteration(
@@ -150,245 +212,8 @@ def run_bulk_iteration(
     Returns:
         An :class:`repro.iteration.result.IterationResult`.
     """
-    if recovery is None:
-        recovery = resolve_recovery(config)
-    recovery = recovery if recovery is not None else RestartRecovery()
-    tracer = tracer if tracer is not None else NOOP_TRACER
-    runtime = build_runtime(config, failures, tracer=tracer)
-    if telemetry is not None:
-        telemetry.bind_runtime(
-            runtime.metrics, runtime.clock, runtime.events, job=spec.name
-        )
-        telemetry.set_target(getattr(spec.termination, "epsilon", None))
-    parallelism = config.parallelism
-    bound_statics = bind_statics(
-        spec.step_plan, dict(statics or {}), {spec.state_source}, parallelism
-    )
-    initial_state = PartitionedDataset.from_records(
-        initial_records, parallelism, key=spec.state_key
-    )
-    if initial_state.num_records() == 0:
-        raise IterationError(f"bulk iteration {spec.name!r} started with empty state")
-    cache: SuperstepExecutionCache | None = None
-    if config.execution_cache != "off":
-        cache = SuperstepExecutionCache(
-            analyze_invariants(spec.step_plan, {spec.state_source}),
-            metrics=runtime.metrics,
-        )
-    ctx = RecoveryContext(
-        job_name=spec.name,
-        cluster=runtime.cluster,
-        executor=runtime.executor,
-        storage=runtime.storage,
-        state_key=spec.state_key,
-        statics=bound_statics,
-        initial_state=initial_state,
-        execution_cache=cache,
-    )
-    pin_initial_inputs(runtime, ctx, initial_state, None)
-    recovery.reset()
-    recovery.on_start(ctx)
-    spec.termination.reset()
-
-    series = StatsSeries()
-    state = initial_state.copy()
-    if snapshots is not None:
-        snapshots.add(-1, SnapshotPhase.INITIAL, state.all_records())
-    converged = False
-    supersteps_run = 0
-    track_l1 = spec.value_fn is not None
-    # Update counting is an O(|state|) dict-building pass; run it only
-    # when something consumes ``stats.updates``: L1 tracking, snapshot
-    # capture, truth comparison, or a termination criterion that reads it.
-    track_updates = (
-        track_l1
-        or snapshots is not None
-        or spec.truth is not None
-        or spec.termination.uses_updates
-    )
-
-    # closing() releases worker-resident side values even when the run
-    # raises (the shared thread/process pools themselves stay up); the
-    # telemetry bundle unhooks from the collector and event log likewise.
-    with closing(runtime), (
-        closing(telemetry) if telemetry is not None else nullcontext()
-    ), tracer.span(
-        f"run:{spec.name}",
-        kind=SpanKind.RUN,
-        job=spec.name,
-        mode="bulk",
-        strategy=recovery.name,
-        parallelism=parallelism,
-        parallel_backend=runtime.executor.backend.name,
-        parallel_workers=runtime.executor.backend.workers,
-    ) as run_span:
-        for superstep in range(spec.max_supersteps):
-            supersteps_run = superstep + 1
-            stats = IterationStats(superstep, sim_time_start=runtime.clock.now)
-            runtime.events.record(
-                EventKind.SUPERSTEP_STARTED, time=runtime.clock.now, superstep=superstep
-            )
-            metrics_before = runtime.metrics.snapshot()
-            previous_records = state.all_records() if track_updates else None
-
-            with tracer.span(
-                f"superstep:{superstep}", kind=SpanKind.SUPERSTEP, superstep=superstep
-            ) as superstep_span:
-                outputs = runtime.executor.execute(
-                    spec.step_plan,
-                    {spec.state_source: state, **bound_statics},
-                    outputs=[spec.next_state_output],
-                    cache=cache,
-                )
-                next_state = runtime.executor.repartition(
-                    outputs[spec.next_state_output],
-                    spec.state_key,
-                    context=f"{spec.name}.state",
-                )
-                if spec.message_counter is not None:
-                    stats.messages = runtime.metrics.diff(metrics_before).get(
-                        spec.message_counter, 0
-                    )
-                # One materialization pass per superstep, shared by update
-                # counting, L1 tracking, truth comparison and snapshots.
-                computed_records = next_state.all_records() if track_updates else None
-                if track_updates:
-                    stats.updates = _count_updates(previous_records, computed_records)
-                if track_l1:
-                    stats.l1_delta = _l1_delta(
-                        previous_records, computed_records, spec.value_fn
-                    )
-
-                due = runtime.injector.pop(superstep)
-                if due:
-                    if snapshots is not None:
-                        snapshots.add(
-                            superstep, SnapshotPhase.BEFORE_FAILURE, computed_records
-                        )
-                    with tracer.span(
-                        "recovery", kind=SpanKind.RECOVERY, superstep=superstep
-                    ) as recovery_span:
-                        lost: list[int] = []
-                        for event in due:
-                            lost.extend(
-                                runtime.cluster.fail_workers(
-                                    list(event.worker_ids), superstep
-                                )
-                            )
-                        runtime.clock.charge_failure_detection()
-                        stats.failed = True
-                        if lost:
-                            if recovery.needs_preloss_capture:
-                                # Confined recovery's replay oracle: the
-                                # partition contents the failure is about
-                                # to destroy (what a deterministic replay
-                                # would recompute).
-                                recovery.capture_preloss(
-                                    superstep, next_state, None, lost
-                                )
-                            next_state.lose(lost)
-                            runtime.cluster.reassign_lost(superstep)
-                            if cache is not None:
-                                # Cached partitions lived on the failed
-                                # workers; recovery must recompute them.
-                                cache.invalidate(lost)
-                            # Worker-resident copies of the invalidated
-                            # build sides are stale too.
-                            runtime.executor.release_residents()
-                            outcome = recovery.recover(ctx, superstep, next_state, None, lost)
-                            next_state = runtime.executor.repartition(
-                                outcome.state,
-                                spec.state_key,
-                                context=f"{spec.name}.recovered",
-                            )
-                            stats.compensated = outcome.compensated
-                            stats.rolled_back = outcome.rolled_back_to is not None
-                            stats.restarted = outcome.restarted
-                            stats.confined = outcome.healed_partitions is not None
-                            if outcome.restarted:
-                                spec.termination.reset()
-                            recovery_span.set_attribute("lost_partitions", sorted(lost))
-                            recovery_span.set_attribute(
-                                "outcome",
-                                "replay"
-                                if stats.confined
-                                else "compensation"
-                                if outcome.compensated
-                                else "rollback"
-                                if stats.rolled_back
-                                else "restart",
-                            )
-                            if snapshots is not None:
-                                phase = (
-                                    SnapshotPhase.AFTER_CONFINED
-                                    if stats.confined
-                                    else SnapshotPhase.AFTER_COMPENSATION
-                                    if outcome.compensated
-                                    else SnapshotPhase.AFTER_ROLLBACK
-                                    if stats.rolled_back
-                                    else SnapshotPhase.AFTER_RESTART
-                                )
-                                snapshots.add(superstep, phase, next_state.all_records())
-                else:
-                    with tracer.span(
-                        "commit", kind=SpanKind.CHECKPOINT, superstep=superstep
-                    ):
-                        recovery.on_superstep_committed(ctx, superstep, next_state, None)
-
-                if stats.failed and track_updates:
-                    # Recovery replaced the state computed above.
-                    computed_records = next_state.all_records()
-                if spec.truth is not None:
-                    stats.converged = count_converged(
-                        computed_records, spec.truth, spec.truth_tolerance, job=spec.name
-                    )
-                else:
-                    stats.converged = 0
-                stats.sim_time_end = runtime.clock.now
-                superstep_span.set_attribute("messages", stats.messages)
-                superstep_span.set_attribute("updates", stats.updates)
-                superstep_span.set_attribute("failed", stats.failed)
-            series.append(stats)
-            if telemetry is not None:
-                telemetry.on_superstep(stats)
-            runtime.events.record(
-                EventKind.SUPERSTEP_FINISHED, time=runtime.clock.now, superstep=superstep
-            )
-            if snapshots is not None:
-                snapshots.add(superstep, SnapshotPhase.AFTER_SUPERSTEP, computed_records)
-
-            state = next_state
-            if not stats.failed and spec.termination.should_stop(stats):
-                converged = True
-                runtime.events.record(
-                    EventKind.CONVERGED, time=runtime.clock.now, superstep=superstep
-                )
-                break
-        run_span.set_attribute("supersteps", supersteps_run)
-        run_span.set_attribute("converged", converged)
-
-    if not converged and config.strict_iterations:
-        raise TerminationError(
-            f"bulk iteration {spec.name!r} did not converge within "
-            f"{spec.max_supersteps} supersteps"
-        )
-    if snapshots is not None and converged:
-        snapshots.add(supersteps_run - 1, SnapshotPhase.CONVERGED, state.all_records())
-    runtime.events.record(
-        EventKind.TERMINATED,
-        time=runtime.clock.now,
-        superstep=supersteps_run - 1,
-        converged=converged,
-    )
-    return IterationResult(
-        job_name=spec.name,
-        final_records=state.all_records(),
-        converged=converged,
-        supersteps=supersteps_run,
-        stats=series,
-        events=runtime.events,
-        clock=runtime.clock,
-        metrics=runtime.metrics,
-        cluster=runtime.cluster,
-        snapshots=snapshots,
+    return run_supersteps(
+        _BulkLoop(spec, initial_records, snapshotting=snapshots is not None), statics,
+        config=config, recovery=recovery, failures=failures,
+        snapshots=snapshots, tracer=tracer, telemetry=telemetry,
     )

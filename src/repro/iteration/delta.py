@@ -23,30 +23,23 @@ next workset partitions on the failed workers.
 
 from __future__ import annotations
 
-from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..config import DEFAULT_CONFIG, EngineConfig
-from ..core.recovery import RecoveryContext, RecoveryStrategy
-from ..core.restart import RestartRecovery
-from ..core.strategies import resolve_recovery
+from ..core.recovery import RecoveryOutcome, RecoveryStrategy
 from ..dataflow.datatypes import KeySpec
-from ..dataflow.invariants import analyze_invariants
 from ..dataflow.plan import Plan
-from ..errors import IterationError, TerminationError
-from ..observability.span import SpanKind
+from ..errors import IterationError
 from ..observability.telemetry import RunTelemetry
-from ..observability.tracer import NOOP_TRACER, Tracer
-from ..runtime.cache import SuperstepExecutionCache
-from ..runtime.events import EventKind
-from ..runtime.executor import PartitionedDataset
+from ..observability.tracer import Tracer
 from ..runtime.failures import FailureSchedule
-from ..runtime.metrics import IterationStats, StatsSeries
+from ..runtime.metrics import IterationStats
 from ..runtime.state import make_state_backend
-from ._runtime import bind_statics, build_runtime, pin_initial_inputs
+from ._runtime import JobRuntime
+from .driver import StepPlugin, run_supersteps
 from .result import IterationResult
-from .snapshots import SnapshotPhase, SnapshotStore
+from .snapshots import SnapshotStore
 from .termination import EmptyWorkset, TerminationCriterion
 
 
@@ -106,6 +99,107 @@ class DeltaIterationSpec:
         self.step_plan.operator_by_name(self.workset_output)
 
 
+class _DeltaLoop(StepPlugin):
+    """The delta step plug-in: the state is a solution set held in a keyed
+    backend, plus a workset."""
+
+    mode = "delta"
+
+    def __init__(
+        self,
+        spec: DeltaIterationSpec,
+        initial_solution: Iterable[Any],
+        initial_workset: Iterable[Any] | None,
+    ):
+        super().__init__(spec, {spec.solution_source, spec.workset_source})
+        self._initial_solution = initial_solution
+        self._initial_workset = initial_workset
+
+    def start(self, runtime: JobRuntime):
+        self.runtime = runtime
+        spec = self.spec
+        solution_records = list(self._initial_solution)
+        if not solution_records:
+            raise IterationError(
+                f"delta iteration {spec.name!r} started with empty solution set"
+            )
+        solution = self._partition(solution_records)
+        self.workset = self._partition(
+            solution_records if self._initial_workset is None else self._initial_workset
+        )
+        self.backend = make_state_backend(
+            runtime.config.state_backend,
+            solution,
+            spec.state_key,
+            metrics=runtime.metrics,
+            value_fn=spec.value_fn,
+            truth=spec.truth,
+            truth_tolerance=spec.truth_tolerance,
+        )
+        self.run_attributes = {"state_backend": self.backend.name}
+        return solution.copy(), self.workset.copy(), self.backend
+
+    def begin(self) -> dict[str, Any]:
+        entering_workset = self.workset.num_records()
+        self.runtime.metrics.set_gauge("workset_size", entering_workset)
+        self.runtime.metrics.observe("workset_size", entering_workset)
+        return {"workset_size": entering_workset}
+
+    def step(self, statics, cache, stats: IterationStats) -> None:
+        spec = self.spec
+        outputs = self.runtime.executor.execute(
+            spec.step_plan,
+            {
+                spec.solution_source: self.backend.to_dataset(),
+                spec.workset_source: self.workset,
+                **statics,
+            },
+            outputs=[spec.delta_output, spec.workset_output],
+            cache=cache,
+        )
+        delta = self._repartition(outputs[spec.delta_output], "delta")
+        self.workset = self._repartition(outputs[spec.workset_output], "workset")
+        if self.workset is delta:
+            # One operator may feed both outputs (Connected Components'
+            # label-update does); decouple so losing workset partitions
+            # cannot alias into the delta.
+            self.workset = delta.copy()
+        stats.updates = self.backend.apply_delta(delta)
+        if spec.value_fn is not None:
+            stats.l1_delta = self.backend.last_l1_delta
+
+    def view(self):
+        return self.backend.to_dataset(), self.workset
+
+    def lose(self, lost: list[int]) -> None:
+        self.backend.lose(lost)
+        self.workset.lose(lost)
+
+    def install(self, outcome: RecoveryOutcome, recovery: RecoveryStrategy) -> None:
+        recovered_state = self._repartition(outcome.state, "recovered")
+        if outcome.healed_partitions is not None:
+            # Confined recovery: survivors' partitions (and their indexes)
+            # are untouched — only the healed ones are reinstalled.
+            for pid in outcome.healed_partitions:
+                self.backend.replace_partition(pid, recovered_state.partitions[pid] or [])
+        else:
+            self.backend.restore_from(recovered_state)
+        if outcome.workset is None:
+            raise IterationError(
+                f"recovery strategy {recovery.name!r} returned no "
+                f"workset for delta iteration {self.spec.name!r}"
+            )
+        self.workset = self._repartition(outcome.workset, "recovered-ws")
+
+    def finish(self, stats: IterationStats) -> dict[str, Any]:
+        stats.workset_size = self.workset.num_records()
+        stats.converged = self.backend.converged_count()
+        return {"next_workset_size": stats.workset_size}
+
+    def records(self) -> list[Any]:
+        return self.backend.records_view()
+
+
 def run_delta_iteration(
     spec: DeltaIterationSpec,
     initial_solution: Iterable[Any],
@@ -146,298 +240,8 @@ def run_delta_iteration(
         An :class:`repro.iteration.result.IterationResult`; its
         ``final_records`` are the solution set.
     """
-    if recovery is None:
-        recovery = resolve_recovery(config)
-    recovery = recovery if recovery is not None else RestartRecovery()
-    tracer = tracer if tracer is not None else NOOP_TRACER
-    runtime = build_runtime(config, failures, tracer=tracer)
-    if telemetry is not None:
-        telemetry.bind_runtime(
-            runtime.metrics, runtime.clock, runtime.events, job=spec.name
-        )
-        telemetry.set_target(getattr(spec.termination, "epsilon", None))
-    parallelism = config.parallelism
-    bound_statics = bind_statics(
-        spec.step_plan,
-        dict(statics or {}),
-        {spec.solution_source, spec.workset_source},
-        parallelism,
-    )
-    initial_solution = list(initial_solution)
-    if not initial_solution:
-        raise IterationError(f"delta iteration {spec.name!r} started with empty solution set")
-    workset_records = (
-        list(initial_workset) if initial_workset is not None else list(initial_solution)
-    )
-    solution = PartitionedDataset.from_records(
-        initial_solution, parallelism, key=spec.state_key
-    )
-    workset = PartitionedDataset.from_records(
-        workset_records, parallelism, key=spec.state_key
-    )
-    backend = make_state_backend(
-        config.state_backend,
-        solution,
-        spec.state_key,
-        metrics=runtime.metrics,
-        value_fn=spec.value_fn,
-        truth=spec.truth,
-        truth_tolerance=spec.truth_tolerance,
-    )
-    cache: SuperstepExecutionCache | None = None
-    if config.execution_cache != "off":
-        cache = SuperstepExecutionCache(
-            analyze_invariants(
-                spec.step_plan, {spec.solution_source, spec.workset_source}
-            ),
-            metrics=runtime.metrics,
-        )
-    ctx = RecoveryContext(
-        job_name=spec.name,
-        cluster=runtime.cluster,
-        executor=runtime.executor,
-        storage=runtime.storage,
-        state_key=spec.state_key,
-        statics=bound_statics,
-        initial_state=solution.copy(),
-        initial_workset=workset.copy(),
-        state_backend=backend,
-        execution_cache=cache,
-    )
-    pin_initial_inputs(runtime, ctx, solution, workset)
-    recovery.reset()
-    recovery.on_start(ctx)
-    assert spec.termination is not None
-    spec.termination.reset()
-
-    series = StatsSeries()
-    if snapshots is not None:
-        snapshots.add(-1, SnapshotPhase.INITIAL, backend.records_view())
-    converged = False
-    supersteps_run = 0
-
-    # closing() releases worker-resident side values even when the run
-    # raises (the shared thread/process pools themselves stay up); the
-    # telemetry bundle unhooks from the collector and event log likewise.
-    with closing(runtime), (
-        closing(telemetry) if telemetry is not None else nullcontext()
-    ), tracer.span(
-        f"run:{spec.name}",
-        kind=SpanKind.RUN,
-        job=spec.name,
-        mode="delta",
-        strategy=recovery.name,
-        parallelism=parallelism,
-        state_backend=backend.name,
-        parallel_backend=runtime.executor.backend.name,
-        parallel_workers=runtime.executor.backend.workers,
-    ) as run_span:
-        for superstep in range(spec.max_supersteps):
-            supersteps_run = superstep + 1
-            stats = IterationStats(superstep, sim_time_start=runtime.clock.now)
-            runtime.events.record(
-                EventKind.SUPERSTEP_STARTED, time=runtime.clock.now, superstep=superstep
-            )
-            metrics_before = runtime.metrics.snapshot()
-            entering_workset = workset.num_records()
-            runtime.metrics.set_gauge("workset_size", entering_workset)
-            runtime.metrics.observe("workset_size", entering_workset)
-
-            with tracer.span(
-                f"superstep:{superstep}",
-                kind=SpanKind.SUPERSTEP,
-                superstep=superstep,
-                workset_size=entering_workset,
-            ) as superstep_span:
-                outputs = runtime.executor.execute(
-                    spec.step_plan,
-                    {
-                        spec.solution_source: backend.to_dataset(),
-                        spec.workset_source: workset,
-                        **bound_statics,
-                    },
-                    outputs=[spec.delta_output, spec.workset_output],
-                    cache=cache,
-                )
-                delta = runtime.executor.repartition(
-                    outputs[spec.delta_output], spec.state_key, context=f"{spec.name}.delta"
-                )
-                next_workset = runtime.executor.repartition(
-                    outputs[spec.workset_output],
-                    spec.state_key,
-                    context=f"{spec.name}.workset",
-                )
-                if next_workset is delta:
-                    # One operator may feed both outputs (Connected Components'
-                    # label-update does); decouple so losing workset partitions
-                    # cannot alias into the delta.
-                    next_workset = delta.copy()
-                if spec.message_counter is not None:
-                    stats.messages = runtime.metrics.diff(metrics_before).get(
-                        spec.message_counter, 0
-                    )
-                stats.updates = backend.apply_delta(delta)
-                if spec.value_fn is not None:
-                    stats.l1_delta = backend.last_l1_delta
-
-                due = runtime.injector.pop(superstep)
-                if due:
-                    if snapshots is not None:
-                        snapshots.add(
-                            superstep,
-                            SnapshotPhase.BEFORE_FAILURE,
-                            backend.records_view(),
-                        )
-                    with tracer.span(
-                        "recovery", kind=SpanKind.RECOVERY, superstep=superstep
-                    ) as recovery_span:
-                        lost: list[int] = []
-                        for event in due:
-                            lost.extend(
-                                runtime.cluster.fail_workers(
-                                    list(event.worker_ids), superstep
-                                )
-                            )
-                        runtime.clock.charge_failure_detection()
-                        stats.failed = True
-                        if lost:
-                            if recovery.needs_preloss_capture:
-                                # Confined recovery's replay oracle: the
-                                # partition contents the failure is about
-                                # to destroy (what a deterministic replay
-                                # would recompute).
-                                recovery.capture_preloss(
-                                    superstep,
-                                    backend.to_dataset(),
-                                    next_workset,
-                                    lost,
-                                )
-                            backend.lose(lost)
-                            next_workset.lose(lost)
-                            runtime.cluster.reassign_lost(superstep)
-                            if cache is not None:
-                                # Cached partitions lived on the failed
-                                # workers; recovery must recompute them.
-                                cache.invalidate(lost)
-                            # Worker-resident copies of the invalidated
-                            # build sides are stale too.
-                            runtime.executor.release_residents()
-                            outcome = recovery.recover(
-                                ctx, superstep, backend.to_dataset(), next_workset, lost
-                            )
-                            recovered_state = runtime.executor.repartition(
-                                outcome.state,
-                                spec.state_key,
-                                context=f"{spec.name}.recovered",
-                            )
-                            if outcome.healed_partitions is not None:
-                                # Confined recovery: survivors' partitions
-                                # (and their indexes) are untouched — only
-                                # the healed ones are reinstalled.
-                                for pid in outcome.healed_partitions:
-                                    backend.replace_partition(
-                                        pid, recovered_state.partitions[pid] or []
-                                    )
-                            else:
-                                backend.restore_from(recovered_state)
-                            if outcome.workset is None:
-                                raise IterationError(
-                                    f"recovery strategy {recovery.name!r} returned no "
-                                    f"workset for delta iteration {spec.name!r}"
-                                )
-                            next_workset = runtime.executor.repartition(
-                                outcome.workset,
-                                spec.state_key,
-                                context=f"{spec.name}.recovered-ws",
-                            )
-                            stats.compensated = outcome.compensated
-                            stats.rolled_back = outcome.rolled_back_to is not None
-                            stats.restarted = outcome.restarted
-                            stats.confined = outcome.healed_partitions is not None
-                            if outcome.restarted:
-                                spec.termination.reset()
-                            recovery_span.set_attribute("lost_partitions", sorted(lost))
-                            recovery_span.set_attribute(
-                                "outcome",
-                                "replay"
-                                if stats.confined
-                                else "compensation"
-                                if outcome.compensated
-                                else "rollback"
-                                if stats.rolled_back
-                                else "restart",
-                            )
-                            if snapshots is not None:
-                                phase = (
-                                    SnapshotPhase.AFTER_CONFINED
-                                    if stats.confined
-                                    else SnapshotPhase.AFTER_COMPENSATION
-                                    if outcome.compensated
-                                    else SnapshotPhase.AFTER_ROLLBACK
-                                    if stats.rolled_back
-                                    else SnapshotPhase.AFTER_RESTART
-                                )
-                                snapshots.add(
-                                    superstep, phase, backend.records_view()
-                                )
-                else:
-                    with tracer.span(
-                        "commit", kind=SpanKind.CHECKPOINT, superstep=superstep
-                    ):
-                        recovery.on_superstep_committed(
-                            ctx, superstep, backend.to_dataset(), next_workset
-                        )
-
-                stats.workset_size = next_workset.num_records()
-                stats.converged = backend.converged_count()
-                stats.sim_time_end = runtime.clock.now
-                superstep_span.set_attribute("messages", stats.messages)
-                superstep_span.set_attribute("updates", stats.updates)
-                superstep_span.set_attribute("next_workset_size", stats.workset_size)
-                superstep_span.set_attribute("failed", stats.failed)
-            series.append(stats)
-            if telemetry is not None:
-                telemetry.on_superstep(stats)
-            runtime.events.record(
-                EventKind.SUPERSTEP_FINISHED, time=runtime.clock.now, superstep=superstep
-            )
-            if snapshots is not None:
-                snapshots.add(
-                    superstep, SnapshotPhase.AFTER_SUPERSTEP, backend.records_view()
-                )
-
-            workset = next_workset
-            if not stats.failed and spec.termination.should_stop(stats):
-                converged = True
-                runtime.events.record(
-                    EventKind.CONVERGED, time=runtime.clock.now, superstep=superstep
-                )
-                break
-        run_span.set_attribute("supersteps", supersteps_run)
-        run_span.set_attribute("converged", converged)
-
-    if not converged and config.strict_iterations:
-        raise TerminationError(
-            f"delta iteration {spec.name!r} did not converge within "
-            f"{spec.max_supersteps} supersteps"
-        )
-    if snapshots is not None and converged:
-        snapshots.add(supersteps_run - 1, SnapshotPhase.CONVERGED, backend.records_view())
-    runtime.events.record(
-        EventKind.TERMINATED,
-        time=runtime.clock.now,
-        superstep=supersteps_run - 1,
-        converged=converged,
-    )
-    return IterationResult(
-        job_name=spec.name,
-        final_records=backend.records_view(),
-        converged=converged,
-        supersteps=supersteps_run,
-        stats=series,
-        events=runtime.events,
-        clock=runtime.clock,
-        metrics=runtime.metrics,
-        cluster=runtime.cluster,
-        snapshots=snapshots,
+    return run_supersteps(
+        _DeltaLoop(spec, initial_solution, initial_workset), statics,
+        config=config, recovery=recovery, failures=failures,
+        snapshots=snapshots, tracer=tracer, telemetry=telemetry,
     )

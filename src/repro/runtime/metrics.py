@@ -197,8 +197,10 @@ class IterationStats:
         l1_delta: L1 norm between this superstep's state and the previous
             one (the GUI's PageRank convergence plot); ``None`` when the
             observer does not compute it.
-        workset_size: size of the delta-iteration workset *entering* the
-            superstep (``None`` for bulk iterations).
+        workset_size: size of the *next* workset — the one this superstep
+            produced, which ``EmptyWorkset`` tests (the span's
+            ``next_workset_size``; ``None`` for bulk iterations). The size
+            entering the superstep is the ``workset_size`` gauge.
         sim_time_start: simulated clock at superstep start.
         sim_time_end: simulated clock at superstep end.
         failed: True when a failure struck during this superstep.

@@ -1,0 +1,225 @@
+"""The superstep driver's contract with the recovery SPI, in both modes.
+
+A spy strategy with ``needs_preloss_capture = True`` records every SPI
+call — and, by wrapping them in ``on_start``, the driver's execution-cache
+invalidation and resident release — on one toy bulk job and one toy delta
+job. On the failed superstep the order must be: ``capture_preloss`` sees
+complete partitions, then the cache is invalidated and residents are
+released, then ``recover`` sees the lost partitions as ``None``;
+``on_superstep_committed`` is not called for that superstep and the
+termination criterion is not consulted. Bulk and delta must emit the same
+``EventKind`` sequence (the toys are sized to run the same number of
+supersteps).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.config import EngineConfig
+from repro.core.recovery import RecoveryOutcome, RecoveryStrategy
+from repro.iteration.bulk import BulkIterationSpec, run_bulk_iteration
+from repro.iteration.delta import DeltaIterationSpec, run_delta_iteration
+from repro.iteration.termination import (
+    EmptyWorkset,
+    FixedSupersteps,
+    TerminationCriterion,
+)
+from repro.runtime.events import EventKind
+from repro.runtime.failures import FailureSchedule
+
+from .test_bulk import KEY, _halving_plan
+from .test_delta import _countdown_plan
+
+CONFIG = EngineConfig(parallelism=4, spare_workers=8)
+FAILED_SUPERSTEP = 2
+FAILED_WORKER = 1
+SUPERSTEPS = 5
+
+
+class SpyTermination(TerminationCriterion):
+    """Delegating criterion that remembers which supersteps consulted it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.consulted: list[int] = []
+        self.uses_updates = inner.uses_updates
+
+    def should_stop(self, stats):
+        self.consulted.append(stats.superstep)
+        return self.inner.should_stop(stats)
+
+    def reset(self):
+        self.inner.reset()
+
+
+class SpyRecovery(RecoveryStrategy):
+    """Heals lost partitions from the pre-loss capture; logs every call."""
+
+    name = "spy"
+    needs_preloss_capture = True
+
+    def __init__(self):
+        self.calls: list[str] = []
+        self.seen: dict[str, tuple] = {}
+        self._captured: dict[str, dict[int, list]] = {}
+
+    def on_start(self, ctx):
+        self.calls.append("on_start")
+        self._wrap(ctx.executor, "release_residents")
+        if ctx.execution_cache is not None:
+            self._wrap(ctx.execution_cache, "invalidate")
+
+    def _wrap(self, target, method):
+        original = getattr(target, method)
+
+        def logged(*args, **kwargs):
+            self.calls.append(method)
+            return original(*args, **kwargs)
+
+        setattr(target, method, logged)
+
+    @staticmethod
+    def _lost_view(dataset, lost):
+        return None if dataset is None else [dataset.partitions[p] for p in lost]
+
+    def capture_preloss(self, superstep, state, workset, lost_partitions):
+        self.calls.append(f"capture_preloss:{superstep}")
+        self.seen["capture_preloss"] = (
+            self._lost_view(state, lost_partitions),
+            self._lost_view(workset, lost_partitions),
+        )
+        for name, dataset in (("state", state), ("workset", workset)):
+            if dataset is not None:
+                self._captured[name] = {
+                    p: list(dataset.partitions[p]) for p in lost_partitions
+                }
+
+    def on_superstep_committed(self, ctx, superstep, state, workset=None):
+        self.calls.append(f"committed:{superstep}")
+
+    def recover(self, ctx, superstep, state, workset, lost_partitions):
+        self.calls.append(f"recover:{superstep}")
+        self.seen["recover"] = (
+            self._lost_view(state, lost_partitions),
+            self._lost_view(workset, lost_partitions),
+        )
+        self.seen["lost"] = tuple(lost_partitions)
+        for name, dataset in (("state", state), ("workset", workset)):
+            if dataset is not None:
+                for p in lost_partitions:
+                    dataset.partitions[p] = self._captured[name][p]
+        return RecoveryOutcome(
+            state=state, workset=workset, healed_partitions=list(lost_partitions)
+        )
+
+
+def _run_bulk(recovery, termination, failures):
+    spec = BulkIterationSpec(
+        name="halve",
+        step_plan=_halving_plan(),
+        state_source="state",
+        next_state_output="halve",
+        state_key=KEY,
+        termination=termination,
+    )
+    return run_bulk_iteration(
+        spec,
+        [(k, 1.0) for k in range(8)],
+        config=CONFIG,
+        recovery=recovery,
+        failures=failures,
+    )
+
+
+def _run_delta(recovery, termination, failures):
+    spec = DeltaIterationSpec(
+        name="countdown",
+        step_plan=_countdown_plan(),
+        solution_source="solution",
+        workset_source="workset",
+        delta_output="decrement",
+        workset_output="decrement",
+        state_key=KEY,
+        termination=termination,
+    )
+    return run_delta_iteration(
+        spec,
+        [(k, k % 4 + 1) for k in range(8)],
+        config=CONFIG,
+        recovery=recovery,
+        failures=failures,
+    )
+
+
+# Bulk commits four supersteps and loses one to the failure; the delta
+# countdown from 4 empties its workset in the fifth superstep.
+MODES = {
+    "bulk": (_run_bulk, lambda: FixedSupersteps(SUPERSTEPS - 1)),
+    "delta": (_run_delta, EmptyWorkset),
+}
+
+
+def _run(mode):
+    runner, make_termination = MODES[mode]
+    recovery = SpyRecovery()
+    termination = SpyTermination(make_termination())
+    result = runner(
+        recovery, termination, FailureSchedule.single(FAILED_SUPERSTEP, [FAILED_WORKER])
+    )
+    return result, recovery, termination
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_spi_order_on_a_failed_superstep(mode):
+    result, recovery, termination = _run(mode)
+    assert result.converged and result.supersteps == SUPERSTEPS
+
+    committed = [s for s in range(SUPERSTEPS) if s != FAILED_SUPERSTEP]
+    before = [f"committed:{s}" for s in committed if s < FAILED_SUPERSTEP]
+    after = [f"committed:{s}" for s in committed if s > FAILED_SUPERSTEP]
+    expected = [
+        "on_start",
+        *before,
+        f"capture_preloss:{FAILED_SUPERSTEP}",
+        "invalidate",
+        "release_residents",
+        f"recover:{FAILED_SUPERSTEP}",
+        *after,
+    ]
+    assert recovery.calls[: len(expected)] == expected
+    # Only the end-of-run resident release may follow the last commit.
+    assert recovery.calls[len(expected) :] in ([], ["release_residents"])
+    assert termination.consulted == committed
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_capture_sees_complete_partitions_and_recover_sees_them_lost(mode):
+    _, recovery, _ = _run(mode)
+    assert recovery.seen["lost"]
+    for captured in recovery.seen["capture_preloss"]:
+        assert captured is None or all(part is not None for part in captured)
+    state_lost, workset_lost = recovery.seen["recover"]
+    assert all(part is None for part in state_lost)
+    assert (workset_lost is None) == (mode == "bulk")
+    assert workset_lost is None or all(part is None for part in workset_lost)
+    # The state the failure destroyed was non-trivial in both toys.
+    assert any(recovery.seen["capture_preloss"][0])
+
+
+def test_bulk_and_delta_emit_the_same_event_kind_sequence():
+    sequences = {
+        mode: [event.kind for event in _run(mode)[0].events] for mode in MODES
+    }
+    assert sequences["bulk"] == sequences["delta"]
+    per_superstep = [EventKind.SUPERSTEP_STARTED, EventKind.SUPERSTEP_FINISHED]
+    assert sequences["bulk"] == [
+        *per_superstep * FAILED_SUPERSTEP,
+        EventKind.SUPERSTEP_STARTED,
+        EventKind.FAILURE,
+        EventKind.WORKERS_ACQUIRED,
+        EventKind.SUPERSTEP_FINISHED,
+        *per_superstep * (SUPERSTEPS - FAILED_SUPERSTEP - 1),
+        EventKind.CONVERGED,
+        EventKind.TERMINATED,
+    ]

@@ -1,0 +1,132 @@
+"""Absolute pin of the superstep driver's observable behaviour.
+
+``golden_fingerprint.json`` was generated at the last commit that still
+had two hand-written driver loops (``iteration/bulk.py`` and
+``iteration/delta.py`` before the unified ``iteration/driver.py``). Every
+cell — PageRank (bulk) and Connected Components (delta) × the six
+registry strategies × {failure-free, one two-failure schedule} — records
+what a run may never change without saying so: superstep count, the
+``repr`` of the final simulated time, a sha256 of the sorted final
+records, every superstep's ``IterationStats.to_dict()``, the engine
+event-kind sequence and the ``(SpanKind, name)`` sequence of a
+``RecordingTracer`` (the driver- and strategy-level spans verbatim, the
+full sequence including operator/partition spans as count + sha256).
+Where a strategy refuses the mode — incremental checkpointing on a bulk
+iteration — the cell pins the error message instead.
+
+Unlike the identity tests next door, which compare two runs of the *same*
+code, this compares against committed numbers — so a refactor of the
+driver or of the recovery strategies is held to the old behaviour
+bit for bit. Regenerate (only when a behaviour change is intended and
+documented) with::
+
+    PYTHONPATH=src python -m tests.iteration.test_golden_fingerprint
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.algorithms.connected_components import connected_components
+from repro.algorithms.pagerank import pagerank
+from repro.config import EngineConfig
+from repro.core.strategies import STRATEGY_NAMES, build_strategy
+from repro.errors import IterationError
+from repro.graph.generators import grid_graph, twitter_like_graph
+from repro.observability.span import SpanKind
+from repro.observability.tracer import RecordingTracer
+from repro.runtime.failures import FailureSchedule
+
+GOLDEN_PATH = Path(__file__).with_name("golden_fingerprint.json")
+
+JOBS = {
+    "pagerank": lambda: pagerank(twitter_like_graph(60, seed=11), epsilon=1e-3),
+    "connected-components": lambda: connected_components(grid_graph(5, 5)),
+}
+
+SCHEDULES = {
+    "failure-free": FailureSchedule.none,
+    "two-failures": lambda: FailureSchedule.at((2, [1]), (4, [0, 3])),
+}
+
+CELLS = [
+    (algorithm, strategy, schedule)
+    for algorithm in JOBS
+    for strategy in STRATEGY_NAMES
+    for schedule in SCHEDULES
+]
+
+_ENGINE_SPAN_KINDS = {SpanKind.OPERATOR.value, SpanKind.PARTITION.value}
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def _walk(span):
+    yield span
+    for child in span.children:
+        yield from _walk(child)
+
+
+def fingerprint(algorithm: str, strategy: str, schedule: str) -> dict:
+    job = JOBS[algorithm]()
+    tracer = RecordingTracer()
+    try:
+        result = job.run(
+            config=EngineConfig(parallelism=4, spare_workers=8),
+            recovery=build_strategy(
+                strategy, compensation=job.compensation, invariants=job.invariants
+            ),
+            failures=SCHEDULES[schedule](),
+            tracer=tracer,
+        )
+    except IterationError as exc:
+        return {"error": str(exc)}
+    spans = [
+        [span.kind.value, span.name] for root in tracer.roots for span in _walk(root)
+    ]
+    return {
+        "supersteps": result.supersteps,
+        "converged": result.converged,
+        "sim_time": repr(result.clock.now),
+        "records_sha256": _sha256([repr(r) for r in sorted(result.final_records)]),
+        "stats": [stats.to_dict() for stats in result.stats],
+        "events": [event.kind.value for event in result.events],
+        "driver_spans": [span for span in spans if span[0] not in _ENGINE_SPAN_KINDS],
+        "all_spans": {"count": len(spans), "sha256": _sha256(spans)},
+    }
+
+
+def _cell_id(cell) -> str:
+    return "/".join(cell)
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_covers_every_cell(golden):
+    assert sorted(golden) == sorted(_cell_id(cell) for cell in CELLS)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
+def test_run_reproduces_the_golden_fingerprint(golden, cell):
+    expected = golden[_cell_id(cell)]
+    actual = json.loads(json.dumps(fingerprint(*cell)))
+    for field in expected:
+        assert actual[field] == expected[field], f"{_cell_id(cell)}: {field} drifted"
+    assert actual.keys() == expected.keys()
+
+
+if __name__ == "__main__":
+    # One cell per line: compact, and a regeneration diff names the cell.
+    lines = [
+        f"{json.dumps(_cell_id(cell))}: {json.dumps(fingerprint(*cell), sort_keys=True)}"
+        for cell in sorted(CELLS)
+    ]
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {GOLDEN_PATH} ({len(CELLS)} cells)")

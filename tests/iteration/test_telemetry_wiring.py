@@ -16,6 +16,7 @@ from repro.algorithms.pagerank import pagerank
 from repro.config import EngineConfig
 from repro.core.checkpointing import CheckpointRecovery
 from repro.core.restart import RestartRecovery
+from repro.errors import IterationError
 from repro.graph.generators import multi_component_graph, twitter_like_graph
 from repro.observability.convergence import ConvergenceMonitor
 from repro.observability.telemetry import RunTelemetry, TelemetryCollector
@@ -158,3 +159,42 @@ class TestSeriesAndEvents:
         telemetry = _telemetry("pr")
         _run_pagerank("optimistic", telemetry=telemetry)
         assert telemetry.monitor.target == 1e-3
+
+
+class TestSetupErrorsDoNotLeak:
+    """A run that dies during setup must not stay registered.
+
+    ``bind_runtime`` registers the run's registry with the collector (and
+    subscribes an event forwarder); if the driver raises before its
+    cleanup region begins — a missing static, an empty initial state —
+    the collector would sample the dead run for the life of the service.
+    """
+
+    @staticmethod
+    def _empty_state(job):
+        if hasattr(job, "initial_solution"):
+            job.initial_solution = []
+        else:
+            job.initial_records = []
+
+    @staticmethod
+    def _missing_static(job):
+        job.statics = {}
+
+    @pytest.mark.parametrize("sabotage", ("_empty_state", "_missing_static"))
+    @pytest.mark.parametrize(
+        "make_job",
+        (
+            lambda: pagerank(twitter_like_graph(60, seed=11), epsilon=1e-3),
+            lambda: connected_components(multi_component_graph(3, 12, seed=5)),
+        ),
+        ids=("bulk", "delta"),
+    )
+    def test_collector_holds_no_source_after_a_setup_error(self, make_job, sabotage):
+        job = make_job()
+        getattr(self, sabotage)(job)
+        telemetry = _telemetry(job.spec.name)
+        with pytest.raises(IterationError):
+            job.run(config=_config(), telemetry=telemetry)
+        assert telemetry.collector.sources == 0
+        assert telemetry._forwarder is None  # unsubscribed from the event log
