@@ -4,11 +4,14 @@
 had two hand-written driver loops (``iteration/bulk.py`` and
 ``iteration/delta.py`` before the unified ``iteration/driver.py``). Every
 cell — PageRank (bulk) and Connected Components (delta) × the six
-registry strategies × {failure-free, one two-failure schedule} — records
-what a run may never change without saying so: superstep count, the
-``repr`` of the final simulated time, a sha256 of the sorted final
-records, every superstep's ``IterationStats.to_dict()``, the engine
-event-kind sequence and the ``(SpanKind, name)`` sequence of a
+registry strategies × {failure-free, a two-failure schedule, one failure
+at superstep 0 before anything was persisted} — records what a run may
+never change without saying so: superstep count, the ``repr`` of the
+final simulated time, a sha256 of the sorted final records, every
+superstep's ``IterationStats.to_dict()``, the engine event-kind sequence
+plus a sha256 over every event's full ``to_dict()`` (times and payloads:
+``restored_from``, ``records``, ``lost_partitions``, ``reason``,
+``estimates``, ...) and the ``(SpanKind, name)`` sequence of a
 ``RecordingTracer`` (the driver- and strategy-level spans verbatim, the
 full sequence including operator/partition spans as count + sha256).
 Where a strategy refuses the mode — incremental checkpointing on a bulk
@@ -49,6 +52,9 @@ JOBS = {
 SCHEDULES = {
     "failure-free": FailureSchedule.none,
     "two-failures": lambda: FailureSchedule.at((2, [1]), (4, [0, 3])),
+    # strikes before the first checkpoint / base / snapshot exists: the
+    # restart fallbacks and confined's pinned-input branch
+    "early-failure": lambda: FailureSchedule.at((0, [2])),
 }
 
 CELLS = [
@@ -95,6 +101,7 @@ def fingerprint(algorithm: str, strategy: str, schedule: str) -> dict:
         "records_sha256": _sha256([repr(r) for r in sorted(result.final_records)]),
         "stats": [stats.to_dict() for stats in result.stats],
         "events": [event.kind.value for event in result.events],
+        "events_sha256": _sha256([event.to_dict() for event in result.events]),
         "driver_spans": [span for span in spans if span[0] not in _ENGINE_SPAN_KINDS],
         "all_spans": {"count": len(spans), "sha256": _sha256(spans)},
     }
