@@ -3,15 +3,14 @@
 The delta-iteration driver used to rebuild a ``{key: record}`` dict over
 the entire solution set every superstep — O(|state|) maintenance work
 where the paper's model is O(|delta|). The keyed backend applies deltas
-in place through per-partition hash indexes. Two things must hold:
+in place through per-partition hash indexes, so per-superstep maintenance
+work tracks the delta size, not the solution-set size: on chain graphs of
+growing length, its late-superstep op counts are constant.
 
-* **equivalence** — the keyed backend is bit-identical to the legacy
-  rebuild semantics: same final records (same order), same supersteps,
-  same simulated-clock totals, failure-free and under recovery;
-* **scaling** — per-superstep maintenance work tracks the delta size,
-  not the solution-set size: on chain graphs of growing length, the
-  keyed backend's late-superstep op counts are constant while the
-  rebuild backend's grow linearly with the state.
+The cost of the rebuild semantics on this benchmark (54/104/204/404 tail
+ops at n = 50/100/200/400 against 4, at identical records and simulated
+time) is recorded in docs/REPRODUCING.md ("Removed modes"); the reference
+implementation is the test oracle in ``tests/runtime/test_state_backend.py``.
 """
 
 from repro.algorithms import connected_components
@@ -26,67 +25,16 @@ from .conftest import run_once
 PARALLELISM = 4
 
 
-def _config(backend: str) -> EngineConfig:
-    return EngineConfig(
-        parallelism=PARALLELISM, spare_workers=8, state_backend=backend
-    )
-
-
-def test_s3_backend_equivalence(benchmark, report):
-    """Keyed and rebuild backends are observably identical on CC."""
-    graph = multi_component_graph(4, 40)
-
-    def run_all():
-        results = {}
-        for backend in ("keyed", "rebuild"):
-            results[backend, "free"] = connected_components(graph).run(
-                config=_config(backend)
-            )
-            job = connected_components(graph)
-            results[backend, "failed"] = job.run(
-                config=_config(backend),
-                recovery=job.optimistic(),
-                failures=FailureSchedule.single(2, [1]),
-            )
-        return results
-
-    results = run_once(benchmark, run_all)
-
-    table = Table(
-        ["scenario", "backend", "supersteps", "sim time", "records"],
-        title="S3 — backend equivalence on Connected Components",
-    )
-    for scenario in ("free", "failed"):
-        for backend in ("keyed", "rebuild"):
-            outcome = results[backend, scenario]
-            table.add_row(
-                scenario,
-                backend,
-                outcome.supersteps,
-                outcome.sim_time,
-                len(outcome.final_records),
-            )
-    report(table.to_text())
-
-    for scenario in ("free", "failed"):
-        keyed = results["keyed", scenario]
-        rebuild = results["rebuild", scenario]
-        # bit-identical: same records in the same order
-        assert keyed.final_records == rebuild.final_records
-        assert keyed.supersteps == rebuild.supersteps
-        assert keyed.sim_time == rebuild.sim_time
-        assert keyed.cost_breakdown() == rebuild.cost_breakdown()
-    assert results["keyed", "free"].final_dict == connected_components(graph).truth
+CONFIG = EngineConfig(parallelism=PARALLELISM, spare_workers=8)
 
 
 def test_s3_maintenance_scales_with_delta_not_state(benchmark, report):
-    """Late-superstep maintenance cost: O(|delta|) keyed, O(|state|) rebuild.
+    """Late-superstep maintenance cost is O(|delta|).
 
     On a chain graph, CC's delta shrinks by one vertex per superstep, so
     the final supersteps apply near-constant-size deltas no matter how
     long the chain is. The keyed backend's op counts there must therefore
-    be *independent of n*, while the rebuild backend still pays for the
-    whole solution set every superstep.
+    be *independent of n*.
     """
     lengths = [50, 100, 200, 400]
     TAIL = 5  # compare the last TAIL supersteps of each run
@@ -94,46 +42,39 @@ def test_s3_maintenance_scales_with_delta_not_state(benchmark, report):
     def run_all():
         ops = {}
         for n in lengths:
-            for backend in ("keyed", "rebuild"):
-                result = connected_components(
-                    chain_graph(n), max_supersteps=n + 10
-                ).run(config=_config(backend))
-                ops[backend, n] = [
-                    int(v)
-                    for v in result.metrics.histogram_values("state.maintenance_ops")
-                ]
+            result = connected_components(
+                chain_graph(n), max_supersteps=n + 10
+            ).run(config=CONFIG)
+            ops[n] = [
+                int(v)
+                for v in result.metrics.histogram_values("state.maintenance_ops")
+            ]
         return ops
 
     ops = run_once(benchmark, run_all)
 
     table = Table(
-        ["n", "backend", "ops @ last supersteps", "max tail ops"],
+        ["n", "ops @ last supersteps", "max tail ops"],
         title="S3 — per-superstep state-maintenance ops (tail of the run)",
     )
     for n in lengths:
-        for backend in ("keyed", "rebuild"):
-            tail = ops[backend, n][-TAIL:]
-            table.add_row(n, backend, str(tail), max(tail))
+        tail = ops[n][-TAIL:]
+        table.add_row(n, str(tail), max(tail))
     report(table.to_text())
     report(
         format_figure(
             f"S3 — maintenance ops per superstep (chain n={lengths[-1]})",
-            [
-                Series.of("keyed", ops["keyed", lengths[-1]]),
-                Series.of("rebuild", ops["rebuild", lengths[-1]]),
-            ],
+            [Series.of("keyed", ops[lengths[-1]])],
         )
     )
 
-    keyed_tails = {n: ops["keyed", n][-TAIL:] for n in lengths}
+    tails = {n: ops[n][-TAIL:] for n in lengths}
     # O(|delta|): the tail op counts are identical for every chain length
     # — the keyed backend never touches the unchanged bulk of the state
-    assert len({tuple(tail) for tail in keyed_tails.values()}) == 1
+    assert len({tuple(tail) for tail in tails.values()}) == 1
     for n in lengths:
-        # O(|state| + |delta|): the rebuild backend's tail cost grows with n
-        assert min(ops["rebuild", n][-TAIL:]) >= n
-        # and the keyed backend is strictly cheaper on every late superstep
-        assert max(keyed_tails[n]) < n
+        # and every late superstep costs less than one pass over the state
+        assert max(tails[n]) < n
 
 
 def test_s3_failure_free_has_no_index_rebuilds(benchmark, report):
@@ -141,10 +82,10 @@ def test_s3_failure_free_has_no_index_rebuilds(benchmark, report):
     graph = multi_component_graph(3, 25)
 
     def run_both():
-        free = connected_components(graph).run(config=_config("keyed"))
+        free = connected_components(graph).run(config=CONFIG)
         job = connected_components(graph)
         failed = job.run(
-            config=_config("keyed"),
+            config=CONFIG,
             recovery=job.optimistic(),
             failures=FailureSchedule.single(2, [1]),
         )

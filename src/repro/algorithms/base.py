@@ -22,6 +22,7 @@ from ..core.compensation import CompensationFunction
 from ..core.guarantees import StateInvariant
 from ..core.optimistic import OptimisticRecovery
 from ..core.recovery import RecoveryStrategy
+from ..core.strategies import resolve_recovery
 from ..iteration.bulk import BulkIterationSpec, run_bulk_iteration
 from ..iteration.delta import DeltaIterationSpec, run_delta_iteration
 from ..iteration.result import IterationResult
@@ -46,7 +47,15 @@ class _IterativeJob:
         telemetry: RunTelemetry | None = None,
     ) -> IterationResult:
         """Execute the job; see :func:`repro.iteration.run_bulk_iteration` /
-        :func:`repro.iteration.run_delta_iteration` for the options."""
+        :func:`repro.iteration.run_delta_iteration` for the options.
+
+        Without an explicit ``recovery``, the strategy named by
+        ``config.recovery`` is built with this job's compensation function
+        and invariants."""
+        if recovery is None:
+            recovery = resolve_recovery(
+                config, compensation=self.compensation, invariants=self.invariants
+            )
         return self._launch(
             config=config, recovery=recovery, failures=failures,
             snapshots=snapshots, tracer=tracer, telemetry=telemetry,

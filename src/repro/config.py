@@ -134,12 +134,6 @@ class EngineConfig:
         strict_iterations: when True, exceeding ``max_supersteps`` without
             convergence raises :class:`repro.errors.TerminationError`
             instead of returning the best-effort state.
-        state_backend: how the delta-iteration driver maintains its
-            solution set: ``"keyed"`` (default) keeps per-partition hash
-            indexes and applies deltas in place in O(|delta|);
-            ``"rebuild"`` re-builds a dict over the full solution set
-            every superstep (the legacy implementation, kept for
-            equivalence testing and benchmarks). Results are identical.
         execution_cache: superstep execution cache mode.
             ``"transparent"`` (default) serves loop-invariant operator
             outputs, static shuffle placements and static join/co-group
@@ -162,10 +156,12 @@ class EngineConfig:
         recovery: default recovery strategy name for drivers that were
             not handed an explicit strategy object (one of
             ``RECOVERY_STRATEGIES``, or ``None`` for the historical
-            restart default). ``"optimistic"``/``"adaptive"`` resolve
-            with the job's compensation function when run through a
-            :class:`repro.algorithms.base.BulkJob`/``DeltaJob``;
-            ``"optimistic"`` without a compensation function raises
+            restart default). A :class:`repro.algorithms.base.BulkJob` /
+            ``DeltaJob`` resolves the name with its own compensation
+            function and invariants (so ``"optimistic"`` works and
+            ``"adaptive"`` considers it); ``run_bulk_iteration`` /
+            ``run_delta_iteration`` called directly have no compensation
+            to offer, so there ``"optimistic"`` raises
             :class:`repro.errors.ConfigError` at run start.
         event_log_capacity: bound on the per-run engine
             :class:`repro.runtime.events.EventLog` ring buffer (``None``
@@ -182,7 +178,6 @@ class EngineConfig:
     combiners: bool = False
     seed: int = 42
     strict_iterations: bool = False
-    state_backend: str = "keyed"
     execution_cache: str = "transparent"
     parallel_backend: str = field(default_factory=_env_parallel_backend)
     parallel_workers: int | None = field(default_factory=_env_parallel_workers)
@@ -202,10 +197,6 @@ class EngineConfig:
             raise ConfigError(
                 f"parallelism ({self.parallelism}) must be divisible by "
                 f"partitions_per_worker ({self.partitions_per_worker})"
-            )
-        if self.state_backend not in ("keyed", "rebuild"):
-            raise ConfigError(
-                f"state_backend must be 'keyed' or 'rebuild', got {self.state_backend!r}"
             )
         if self.execution_cache not in ("off", "transparent"):
             raise ConfigError(
@@ -244,10 +235,6 @@ class EngineConfig:
     def with_spares(self, spare_workers: int) -> "EngineConfig":
         """Return a copy with a different spare-worker pool size."""
         return replace(self, spare_workers=spare_workers)
-
-    def with_state_backend(self, state_backend: str) -> "EngineConfig":
-        """Return a copy with a different solution-set state backend."""
-        return replace(self, state_backend=state_backend)
 
     def with_execution_cache(self, execution_cache: str) -> "EngineConfig":
         """Return a copy with a different execution-cache mode."""

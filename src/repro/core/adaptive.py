@@ -24,13 +24,11 @@ from dataclasses import dataclass, replace
 from ..config import CostModel
 from ..runtime.events import EventKind
 from ..runtime.executor import PartitionedDataset
-from .checkpointing import CheckpointRecovery
 from .compensation import CompensationFunction
 from .confined import ConfinedRecovery
 from .guarantees import StateInvariant
-from .optimistic import OptimisticRecovery
 from .recovery import RecoveryContext, RecoveryOutcome, RecoveryStrategy
-from .restart import RestartRecovery
+from .strategies import build_strategy
 
 
 @dataclass(frozen=True)
@@ -206,23 +204,6 @@ class AdaptiveRecovery(RecoveryStrategy):
         """Per-strategy cost estimates of the latest selection."""
         return dict(self._estimates)
 
-    @property
-    def needs_preloss_capture(self) -> bool:  # type: ignore[override]
-        return (
-            self._selected is not None and self._selected.needs_preloss_capture
-        )
-
-    def _build(self, name: str) -> RecoveryStrategy:
-        if name == "restart":
-            return RestartRecovery()
-        if name == "checkpoint":
-            return CheckpointRecovery(interval=self.checkpoint_interval)
-        if name == "optimistic":
-            assert self.compensation is not None
-            return OptimisticRecovery(self.compensation, self.invariants)
-        assert name == "confined"
-        return ConfinedRecovery(snapshot_interval=self.snapshot_interval)
-
     def _observe(self, ctx: RecoveryContext) -> WorkloadObservation:
         state_records = (
             ctx.initial_state.num_records() if ctx.initial_state is not None else 0
@@ -255,7 +236,13 @@ class AdaptiveRecovery(RecoveryStrategy):
         previous = self._selected
         if isinstance(previous, ConfinedRecovery):
             previous.detach(ctx)
-        self._selected = self._build(name)
+        self._selected = build_strategy(
+            name,
+            compensation=self.compensation,
+            invariants=self.invariants,
+            checkpoint_interval=self.checkpoint_interval,
+            snapshot_interval=self.snapshot_interval,
+        )
         self._selected.on_start(ctx)
         self.selections.append((superstep, name))
         ctx.cluster.events.record(
@@ -284,16 +271,6 @@ class AdaptiveRecovery(RecoveryStrategy):
     ) -> None:
         assert self._selected is not None
         self._selected.on_superstep_committed(ctx, superstep, state, workset)
-
-    def capture_preloss(
-        self,
-        superstep: int,
-        state: PartitionedDataset,
-        workset: PartitionedDataset | None,
-        lost_partitions: list[int],
-    ) -> None:
-        assert self._selected is not None
-        self._selected.capture_preloss(superstep, state, workset, lost_partitions)
 
     def recover(
         self,

@@ -19,14 +19,15 @@ initial inputs.
 from __future__ import annotations
 
 from ..errors import IterationError
-from ..observability.span import SpanKind
-from ..runtime.events import EventKind
 from ..runtime.executor import PartitionedDataset
 from .recovery import RecoveryContext, RecoveryOutcome, RecoveryStrategy
 
 
 class CheckpointRecovery(RecoveryStrategy):
     """Coordinated checkpointing with global rollback.
+
+    Policy: persist the full pair every ``interval`` supersteps; roll
+    everything back to the last checkpoint, else restart.
 
     Args:
         interval: write a checkpoint every ``interval`` supersteps
@@ -46,15 +47,8 @@ class CheckpointRecovery(RecoveryStrategy):
         self._last_checkpoint: int | None = None
         self.checkpoints_written = 0
 
-    # -- storage keys ----------------------------------------------------------
-
-    def _state_key(self, ctx: RecoveryContext, superstep: int, pid: int) -> str:
-        return f"checkpoint/{ctx.job_name}/{superstep}/state/{pid}"
-
-    def _workset_key(self, ctx: RecoveryContext, superstep: int, pid: int) -> str:
-        return f"checkpoint/{ctx.job_name}/{superstep}/workset/{pid}"
-
-    # -- strategy hooks ----------------------------------------------------------
+    def _prefix(self, ctx: RecoveryContext, superstep: int) -> str:
+        return f"checkpoint/{ctx.job_name}/{superstep}/"
 
     def on_superstep_committed(
         self,
@@ -65,37 +59,13 @@ class CheckpointRecovery(RecoveryStrategy):
     ) -> None:
         if (superstep + 1) % self.interval != 0:
             return
-        with ctx.tracer.span(
-            "checkpoint-write",
-            kind=SpanKind.CHECKPOINT,
-            superstep=superstep,
-            state_backend=(
-                ctx.state_backend.name if ctx.state_backend is not None else "none"
-            ),
-        ) as span:
-            records = 0
-            for pid, partition in enumerate(state.partitions):
-                records += ctx.storage.write(
-                    self._state_key(ctx, superstep, pid), partition or []
-                )
-            if workset is not None:
-                for pid, partition in enumerate(workset.partitions):
-                    records += ctx.storage.write(
-                        self._workset_key(ctx, superstep, pid), partition or []
-                    )
-            if not self.keep_history and self._last_checkpoint is not None:
-                ctx.storage.delete_prefix(
-                    f"checkpoint/{ctx.job_name}/{self._last_checkpoint}/"
-                )
-            self._last_checkpoint = superstep
-            self.checkpoints_written += 1
-            span.set_attribute("records", records)
-        ctx.cluster.events.record(
-            EventKind.CHECKPOINT_WRITTEN,
-            time=ctx.executor.clock.now,
-            superstep=superstep,
-            records=records,
+        ctx.checkpoint(
+            "checkpoint-write", superstep, self._prefix(ctx, superstep), state, workset
         )
+        if not self.keep_history and self._last_checkpoint is not None:
+            ctx.storage.delete_prefix(self._prefix(ctx, self._last_checkpoint))
+        self._last_checkpoint = superstep
+        self.checkpoints_written += 1
 
     def recover(
         self,
@@ -105,73 +75,15 @@ class CheckpointRecovery(RecoveryStrategy):
         workset: PartitionedDataset | None,
         lost_partitions: list[int],
     ) -> RecoveryOutcome:
-        if self._last_checkpoint is None:
-            return self._restart_from_inputs(ctx, superstep, workset is not None)
         checkpoint = self._last_checkpoint
-        with ctx.tracer.span(
-            "rollback",
-            kind=SpanKind.ROLLBACK,
-            superstep=superstep,
-            restored_from=checkpoint,
-        ):
-            restored_state = PartitionedDataset(
-                partitions=[
-                    ctx.storage.read(self._state_key(ctx, checkpoint, pid))
-                    for pid in range(ctx.parallelism)
-                ],
-                partitioned_by=ctx.state_key,
+        if checkpoint is None:
+            return ctx.restart_from_inputs(
+                superstep, workset=workset is not None, reason="no checkpoint available"
             )
-            restored_workset: PartitionedDataset | None = None
-            if workset is not None:
-                restored_workset = PartitionedDataset(
-                    partitions=[
-                        ctx.storage.read(self._workset_key(ctx, checkpoint, pid))
-                        for pid in range(ctx.parallelism)
-                    ],
-                    partitioned_by=ctx.state_key,
-                )
-        ctx.cluster.events.record(
-            EventKind.ROLLBACK,
-            time=ctx.executor.clock.now,
-            superstep=superstep,
-            restored_from=checkpoint,
+        return ctx.rollback(
+            "rollback", superstep, self._prefix(ctx, checkpoint),
+            restored_from=checkpoint, workset=workset is not None,
         )
-        return RecoveryOutcome(
-            state=restored_state,
-            workset=restored_workset,
-            rolled_back_to=checkpoint,
-        )
-
-    def _restart_from_inputs(
-        self, ctx: RecoveryContext, superstep: int, is_delta: bool
-    ) -> RecoveryOutcome:
-        """Fall back to a restart when no checkpoint exists yet."""
-        with ctx.tracer.span(
-            "restart", kind=SpanKind.RESTART, superstep=superstep
-        ):
-            state = PartitionedDataset(
-                partitions=[
-                    ctx.storage.read(ctx.initial_state_key(pid))
-                    for pid in range(ctx.parallelism)
-                ],
-                partitioned_by=ctx.state_key,
-            )
-            workset: PartitionedDataset | None = None
-            if is_delta:
-                workset = PartitionedDataset(
-                    partitions=[
-                        ctx.storage.read(ctx.initial_workset_key(pid))
-                        for pid in range(ctx.parallelism)
-                    ],
-                    partitioned_by=ctx.state_key,
-                )
-        ctx.cluster.events.record(
-            EventKind.RESTART,
-            time=ctx.executor.clock.now,
-            superstep=superstep,
-            reason="no checkpoint available",
-        )
-        return RecoveryOutcome(state=state, workset=workset, restarted=True)
 
     def reset(self) -> None:
         self._last_checkpoint = None

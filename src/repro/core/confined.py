@@ -23,10 +23,11 @@ Falkirk Wheel, this strategy confines recovery to the failed partitions:
   partitions, not with the cluster size.
 
 Replay in the simulator is deterministic, so the replayed contents equal
-the exact pre-failure partition state; the driver captures those contents
-just before destroying them (:meth:`RecoveryStrategy.capture_preloss`)
-and this strategy reinstalls them — the stand-in for the value a real
-deterministic replay would recompute, with the cost charged as replay.
+the exact pre-failure partition state; the driver hands those contents to
+``recover`` on the context (``RecoveryContext.destroyed_state`` /
+``destroyed_workset``) and this strategy reinstalls them — the stand-in
+for the value a real deterministic replay would recompute, with the cost
+charged as replay.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
+from ..dataflow.datatypes import KeySpec
 from ..errors import IterationError, ReplayError
 from ..observability.span import SpanKind
 from ..runtime.events import EventKind
@@ -113,8 +115,25 @@ class MessageLog:
         )
 
 
+def _heal(
+    dataset: PartitionedDataset, destroyed: dict[int, list], key: KeySpec
+) -> PartitionedDataset:
+    """``dataset`` with its lost partitions refilled from ``destroyed``;
+    survivors are the very same lists — untouched, not rebuilt."""
+    return PartitionedDataset(
+        partitions=[
+            destroyed.get(pid) if part is None else part
+            for pid, part in enumerate(dataset.partitions)
+        ],
+        partitioned_by=key,
+    )
+
+
 class ConfinedRecovery(RecoveryStrategy):
     """Rebuild only the lost partitions from local snapshots + log replay.
+
+    Policy: persist the full pair (and truncate the message log) every
+    ``snapshot_interval`` supersteps; roll back the lost partitions only.
 
     Args:
         snapshot_interval: write the per-partition local snapshot (and
@@ -124,7 +143,6 @@ class ConfinedRecovery(RecoveryStrategy):
     """
 
     name = "confined"
-    needs_preloss_capture = True
 
     def __init__(self, snapshot_interval: int = 4):
         if snapshot_interval < 1:
@@ -134,25 +152,15 @@ class ConfinedRecovery(RecoveryStrategy):
         self.snapshot_interval = snapshot_interval
         self._log: MessageLog | None = None
         self._snapshot_superstep: int | None = None
-        self._captured_state: dict[int, list] | None = None
-        self._captured_workset: dict[int, list] | None = None
         self.snapshots_written = 0
 
-    # -- storage keys ----------------------------------------------------------
-
-    def _state_key(self, ctx: RecoveryContext, pid: int) -> str:
-        return f"confined/{ctx.job_name}/state/{pid}"
-
-    def _workset_key(self, ctx: RecoveryContext, pid: int) -> str:
-        return f"confined/{ctx.job_name}/workset/{pid}"
+    def _prefix(self, ctx: RecoveryContext) -> str:
+        return f"confined/{ctx.job_name}/"
 
     # -- strategy hooks ----------------------------------------------------------
 
     def on_start(self, ctx: RecoveryContext) -> None:
         self._log = MessageLog(ctx.parallelism)
-        self._snapshot_superstep = None
-        self._captured_state = None
-        self._captured_workset = None
         ctx.executor.message_log = self._log
 
     def detach(self, ctx: RecoveryContext) -> None:
@@ -170,53 +178,16 @@ class ConfinedRecovery(RecoveryStrategy):
         log = self._require_log()
         log.rotate()
         if (superstep + 1) % self.snapshot_interval == 0:
-            with ctx.tracer.span(
-                "confined-snapshot",
-                kind=SpanKind.CHECKPOINT,
-                superstep=superstep,
-                strategy=self.name,
-            ) as span:
-                records = 0
-                for pid, partition in enumerate(state.partitions):
-                    records += ctx.storage.write(
-                        self._state_key(ctx, pid), partition or []
-                    )
-                if workset is not None:
-                    for pid, partition in enumerate(workset.partitions):
-                        records += ctx.storage.write(
-                            self._workset_key(ctx, pid), partition or []
-                        )
-                self._snapshot_superstep = superstep
-                self.snapshots_written += 1
-                log.drop_retained()
-                span.set_attribute("records", records)
-            ctx.cluster.events.record(
-                EventKind.CHECKPOINT_WRITTEN,
-                time=ctx.executor.clock.now,
-                superstep=superstep,
-                records=records,
+            ctx.checkpoint(
+                "confined-snapshot", superstep, self._prefix(ctx), state, workset,
                 strategy=self.name,
             )
+            self._snapshot_superstep = superstep
+            self.snapshots_written += 1
+            log.drop_retained()
         ctx.executor.metrics.set_gauge(
             "message_log.retained", log.retained_records()
         )
-
-    def capture_preloss(
-        self,
-        superstep: int,
-        state: PartitionedDataset,
-        workset: PartitionedDataset | None,
-        lost_partitions: list[int],
-    ) -> None:
-        self._captured_state = {
-            pid: list(state.partitions[pid] or []) for pid in lost_partitions
-        }
-        if workset is not None:
-            self._captured_workset = {
-                pid: list(workset.partitions[pid] or []) for pid in lost_partitions
-            }
-        else:
-            self._captured_workset = None
 
     def recover(
         self,
@@ -227,11 +198,11 @@ class ConfinedRecovery(RecoveryStrategy):
         lost_partitions: list[int],
     ) -> RecoveryOutcome:
         log = self._require_log()
-        captured = self._captured_state
+        captured = ctx.destroyed_state
         if captured is None or any(pid not in captured for pid in lost_partitions):
             raise ReplayError(
-                f"confined recovery at superstep {superstep} has no pre-loss "
-                f"capture for partitions {sorted(lost_partitions)}"
+                f"confined recovery at superstep {superstep} was not handed the "
+                f"destroyed contents of partitions {sorted(lost_partitions)}"
             )
         lost = sorted(lost_partitions)
         with ctx.tracer.span(
@@ -245,41 +216,29 @@ class ConfinedRecovery(RecoveryStrategy):
             # pinned initial inputs before the first snapshot) — restore
             # I/O for the confined subset only. The contents themselves
             # are superseded by the replay below.
-            restored = 0
-            for pid in lost:
-                if self._snapshot_superstep is not None:
-                    restored += len(ctx.storage.read(self._state_key(ctx, pid)))
-                    if workset is not None:
-                        restored += len(
-                            ctx.storage.read(self._workset_key(ctx, pid))
-                        )
-                else:
-                    restored += len(ctx.storage.read(ctx.initial_state_key(pid)))
-                    if workset is not None:
-                        restored += len(
-                            ctx.storage.read(ctx.initial_workset_key(pid))
-                        )
+            frontier = (
+                self._prefix(ctx)
+                if self._snapshot_superstep is not None
+                else ctx.input_prefix
+            )
+            restored = sum(
+                dataset.num_records()
+                for pid in lost  # pid by pid: state, then workset
+                for dataset in ctx.restore(
+                    frontier, workset=workset is not None, partitions=[pid]
+                )
+                if dataset is not None
+            )
             # Replay survivors' logged deliveries addressed to the lost
             # partitions, forward from the snapshot to the current
             # superstep.
             replayed = log.replayable_records(lost)
             ctx.executor.clock.charge_replay(replayed)
-            healed_state = PartitionedDataset(
-                partitions=[
-                    captured[pid] if pid in captured and part is None else part
-                    for pid, part in enumerate(state.partitions)
-                ],
-                partitioned_by=ctx.state_key,
-            )
-            healed_workset: PartitionedDataset | None = None
+            healed_state = _heal(state, captured, ctx.state_key)
+            healed_workset = None
             if workset is not None:
-                captured_ws = self._captured_workset or {}
-                healed_workset = PartitionedDataset(
-                    partitions=[
-                        captured_ws.get(pid, []) if part is None else part
-                        for pid, part in enumerate(workset.partitions)
-                    ],
-                    partitioned_by=ctx.state_key,
+                healed_workset = _heal(
+                    workset, ctx.destroyed_workset or {}, ctx.state_key
                 )
             span.set_attribute("restored_records", restored)
             span.set_attribute("replayed_records", replayed)
@@ -298,8 +257,6 @@ class ConfinedRecovery(RecoveryStrategy):
         # the log keeps everything since the last snapshot in case a
         # second failure strikes before the next one.
         log.rotate()
-        self._captured_state = None
-        self._captured_workset = None
         return RecoveryOutcome(
             state=healed_state,
             workset=healed_workset,
@@ -309,8 +266,6 @@ class ConfinedRecovery(RecoveryStrategy):
     def reset(self) -> None:
         self._log = None
         self._snapshot_superstep = None
-        self._captured_state = None
-        self._captured_workset = None
         self.snapshots_written = 0
 
     def _require_log(self) -> MessageLog:

@@ -24,11 +24,7 @@ it against full checkpointing and optimistic recovery.
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..errors import IterationError
-from ..observability.span import SpanKind
-from ..runtime.events import EventKind
 from ..runtime.executor import PartitionedDataset
 from .recovery import RecoveryContext, RecoveryOutcome, RecoveryStrategy
 
@@ -36,38 +32,40 @@ from .recovery import RecoveryContext, RecoveryOutcome, RecoveryStrategy
 class IncrementalCheckpointRecovery(RecoveryStrategy):
     """Delta-iteration checkpointing that writes only changed records.
 
-    Only valid for delta iterations (the strategy needs a workset and
-    keyed ``(key, value)`` state records); using it on a bulk iteration
-    raises :class:`repro.errors.IterationError` at the first commit —
-    bulk iterations rewrite all state every superstep, so there is
-    nothing incremental to exploit.
+    Policy: persist a frontier at every commit — first the base, then
+    the state backend's change log, each with the current workset; roll
+    everything back to base + deltas (and the last workset), else restart.
+
+    Only valid for delta iterations (the strategy needs a workset and the
+    keyed solution-set backend's change log); using it on a bulk
+    iteration raises :class:`repro.errors.IterationError` at the first
+    commit — bulk iterations rewrite all state every superstep, so there
+    is nothing incremental to exploit.
     """
 
     name = "incremental-checkpoint"
 
     def __init__(self) -> None:
-        self._base_superstep: int | None = None
-        self._delta_supersteps: list[int] = []
-        self._last_state: list[dict[Any, Any]] | None = None
+        #: committed supersteps in order: the base, then one per delta.
+        self._frontiers: list[int] = []
         self.records_written = 0
 
-    # -- storage keys ----------------------------------------------------------
+    def _prefix(self, ctx: RecoveryContext, superstep: int) -> str:
+        return f"incremental/{ctx.job_name}/{superstep}/"
 
-    def _base_key(self, ctx: RecoveryContext, pid: int) -> str:
-        return f"incremental/{ctx.job_name}/base/{pid}"
-
-    def _delta_key(self, ctx: RecoveryContext, superstep: int, pid: int) -> str:
-        return f"incremental/{ctx.job_name}/delta/{superstep}/{pid}"
-
-    def _workset_key(self, ctx: RecoveryContext, pid: int) -> str:
-        return f"incremental/{ctx.job_name}/workset/{pid}"
+    @staticmethod
+    def _require_delta(ctx: RecoveryContext, workset: PartitionedDataset | None):
+        if workset is None or ctx.state_backend is None:
+            raise IterationError(
+                "IncrementalCheckpointRecovery requires a delta iteration"
+            )
+        return ctx.state_backend
 
     # -- hooks ------------------------------------------------------------------
 
     def on_start(self, ctx: RecoveryContext) -> None:
-        backend = ctx.state_backend
-        if backend is not None and backend.supports_change_tracking:
-            backend.enable_change_tracking()
+        if ctx.state_backend is not None:
+            ctx.state_backend.enable_change_tracking()
 
     def on_superstep_committed(
         self,
@@ -76,69 +74,24 @@ class IncrementalCheckpointRecovery(RecoveryStrategy):
         state: PartitionedDataset,
         workset: PartitionedDataset | None = None,
     ) -> None:
-        if workset is None:
-            raise IterationError(
-                "IncrementalCheckpointRecovery requires a delta iteration"
+        backend = self._require_delta(ctx, workset)
+        if not self._frontiers:
+            # first commit: the base IS the committed state; restart the
+            # change log
+            changes = state
+            backend.clear_changes()
+        else:
+            # the backend recorded exactly which records changed since the
+            # last commit — no full-state scan needed
+            changes = PartitionedDataset(
+                partitions=backend.drain_changes(), partitioned_by=ctx.state_key
             )
-        backend = ctx.state_backend
-        tracking = backend is not None and backend.change_tracking_enabled
-        with ctx.tracer.span(
-            "checkpoint-write",
-            kind=SpanKind.CHECKPOINT,
-            superstep=superstep,
-            incremental=True,
-            state_backend=backend.name if backend is not None else "none",
-        ) as span:
-            written = 0
-            if self._base_superstep is None:
-                # first commit: full base checkpoint
-                for pid, records in enumerate(state.partitions):
-                    written += ctx.storage.write(
-                        self._base_key(ctx, pid), records or []
-                    )
-                self._base_superstep = superstep
-                if tracking:
-                    # the base IS the committed state; restart the change log
-                    backend.clear_changes()
-            elif tracking:
-                # the backend recorded exactly which records changed since
-                # the last commit — no full-state scan needed
-                for pid, changed in enumerate(backend.drain_changes()):
-                    written += ctx.storage.write(
-                        self._delta_key(ctx, superstep, pid), changed
-                    )
-                self._delta_supersteps.append(superstep)
-            else:
-                assert self._last_state is not None
-                for pid, records in enumerate(state.partitions):
-                    changed = [
-                        record
-                        for record in (records or [])
-                        if self._last_state[pid].get(ctx.state_key(record)) != record
-                    ]
-                    written += ctx.storage.write(
-                        self._delta_key(ctx, superstep, pid), changed
-                    )
-                self._delta_supersteps.append(superstep)
-            # the workset is tiny and always replaced wholesale
-            for pid, records in enumerate(workset.partitions):
-                written += ctx.storage.write(
-                    self._workset_key(ctx, pid), records or []
-                )
-            if not tracking:
-                self._last_state = [
-                    {ctx.state_key(record): record for record in (records or [])}
-                    for records in state.partitions
-                ]
-            self.records_written += written
-            span.set_attribute("records", written)
-        ctx.cluster.events.record(
-            EventKind.CHECKPOINT_WRITTEN,
-            time=ctx.executor.clock.now,
-            superstep=superstep,
-            records=written,
+        # the workset is tiny and persisted whole with every frontier
+        self.records_written += ctx.checkpoint(
+            "checkpoint-write", superstep, self._prefix(ctx, superstep), changes, workset,
             incremental=True,
         )
+        self._frontiers.append(superstep)
 
     def recover(
         self,
@@ -148,84 +101,27 @@ class IncrementalCheckpointRecovery(RecoveryStrategy):
         workset: PartitionedDataset | None,
         lost_partitions: list[int],
     ) -> RecoveryOutcome:
-        if workset is None:
-            raise IterationError(
-                "IncrementalCheckpointRecovery requires a delta iteration"
+        self._require_delta(ctx, workset)
+        if not self._frontiers:
+            return ctx.restart_from_inputs(
+                superstep, workset=True, reason="no incremental base checkpoint available"
             )
-        if self._base_superstep is None:
-            # nothing checkpointed yet: fall back to the pinned inputs
-            with ctx.tracer.span(
-                "restart", kind=SpanKind.RESTART, superstep=superstep
-            ):
-                restored = PartitionedDataset(
-                    partitions=[
-                        ctx.storage.read(ctx.initial_state_key(pid))
-                        for pid in range(ctx.parallelism)
-                    ],
-                    partitioned_by=ctx.state_key,
-                )
-                restored_workset = PartitionedDataset(
-                    partitions=[
-                        ctx.storage.read(ctx.initial_workset_key(pid))
-                        for pid in range(ctx.parallelism)
-                    ],
-                    partitioned_by=ctx.state_key,
-                )
-            ctx.cluster.events.record(
-                EventKind.RESTART,
-                time=ctx.executor.clock.now,
-                superstep=superstep,
-                reason="no incremental base checkpoint available",
-            )
-            return RecoveryOutcome(
-                state=restored, workset=restored_workset, restarted=True
-            )
-        with ctx.tracer.span(
-            "rollback-replay",
-            kind=SpanKind.ROLLBACK,
-            superstep=superstep,
-            incremental=True,
-        ):
-            partitions: list[list[Any] | None] = []
-            for pid in range(ctx.parallelism):
-                merged = {
-                    ctx.state_key(record): record
-                    for record in ctx.storage.read(self._base_key(ctx, pid))
-                }
-                for delta_superstep in self._delta_supersteps:
-                    for record in ctx.storage.read(
-                        self._delta_key(ctx, delta_superstep, pid)
-                    ):
-                        merged[ctx.state_key(record)] = record
-                partitions.append(list(merged.values()))
-            restored = PartitionedDataset(
-                partitions=partitions, partitioned_by=ctx.state_key
-            )
-            restored_workset = PartitionedDataset(
-                partitions=[
-                    ctx.storage.read(self._workset_key(ctx, pid))
-                    for pid in range(ctx.parallelism)
-                ],
-                partitioned_by=ctx.state_key,
-            )
-        last_committed = (
-            self._delta_supersteps[-1] if self._delta_supersteps else self._base_superstep
+        outcome = ctx.rollback(
+            "rollback-replay", superstep,
+            *(self._prefix(ctx, frontier) for frontier in self._frontiers),
+            restored_from=self._frontiers[-1], workset=True, incremental=True,
         )
-        ctx.cluster.events.record(
-            EventKind.ROLLBACK,
-            time=ctx.executor.clock.now,
-            superstep=superstep,
-            restored_from=last_committed,
-            incremental=True,
+        # partition by partition the chain held the base, then every delta
+        # in order — a later record replaces the earlier one of its key
+        outcome.state = PartitionedDataset(
+            partitions=[
+                list({ctx.state_key(record): record for record in part}.values())
+                for part in outcome.state.partitions
+            ],
+            partitioned_by=ctx.state_key,
         )
-        return RecoveryOutcome(
-            state=restored,
-            workset=restored_workset,
-            rolled_back_to=last_committed,
-        )
+        return outcome
 
     def reset(self) -> None:
-        self._base_superstep = None
-        self._delta_supersteps = []
-        self._last_state = None
+        self._frontiers = []
         self.records_written = 0

@@ -36,6 +36,8 @@ from .recovery import RecoveryContext, RecoveryOutcome, RecoveryStrategy
 class OptimisticRecovery(RecoveryStrategy):
     """Checkpoint-free recovery with a user-supplied compensation.
 
+    Policy: persist nothing, never; roll back nothing — compensate.
+
     Args:
         compensation: the algorithm's compensation function.
         invariants: consistency checks run on every compensated state;
@@ -52,14 +54,6 @@ class OptimisticRecovery(RecoveryStrategy):
         self.compensation = compensation
         self.invariants = list(invariants or [])
 
-    def _compensation_context(self, ctx: RecoveryContext) -> CompensationContext:
-        return CompensationContext(
-            parallelism=ctx.parallelism,
-            state_key=ctx.state_key,
-            statics=ctx.statics,
-            initial_state=ctx.initial_state,
-        )
-
     def recover(
         self,
         ctx: RecoveryContext,
@@ -68,15 +62,17 @@ class OptimisticRecovery(RecoveryStrategy):
         workset: PartitionedDataset | None,
         lost_partitions: list[int],
     ) -> RecoveryOutcome:
-        comp_ctx = self._compensation_context(ctx)
+        comp_ctx = CompensationContext(
+            parallelism=ctx.parallelism,
+            state_key=ctx.state_key,
+            statics=ctx.statics,
+            initial_state=ctx.initial_state,
+        )
         with ctx.tracer.span(
             "compensation",
             kind=SpanKind.COMPENSATION,
             superstep=superstep,
             compensation=self.compensation.name,
-            state_backend=(
-                ctx.state_backend.name if ctx.state_backend is not None else "none"
-            ),
         ) as span:
             aggregate = self.compensation.prepare(state, lost_partitions, comp_ctx)
             new_partitions: list[list | None] = []

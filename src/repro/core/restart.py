@@ -11,14 +11,15 @@ whenever a superstep contains a reducer (see DESIGN.md).
 
 from __future__ import annotations
 
-from ..observability.span import SpanKind
-from ..runtime.events import EventKind
 from ..runtime.executor import PartitionedDataset
 from .recovery import RecoveryContext, RecoveryOutcome, RecoveryStrategy
 
 
 class RestartRecovery(RecoveryStrategy):
-    """Re-run the iteration from its initial inputs after any failure."""
+    """Re-run the iteration from its initial inputs after any failure.
+
+    Policy: persist nothing, never; roll everything back to the inputs.
+    """
 
     name = "restart"
 
@@ -30,32 +31,7 @@ class RestartRecovery(RecoveryStrategy):
         workset: PartitionedDataset | None,
         lost_partitions: list[int],
     ) -> RecoveryOutcome:
-        with ctx.tracer.span(
-            "restart", kind=SpanKind.RESTART, superstep=superstep, strategy=self.name
-        ):
-            restored_state = PartitionedDataset(
-                partitions=[
-                    ctx.storage.read(ctx.initial_state_key(pid))
-                    for pid in range(ctx.parallelism)
-                ],
-                partitioned_by=ctx.state_key,
-            )
-            restored_workset: PartitionedDataset | None = None
-            if workset is not None:
-                restored_workset = PartitionedDataset(
-                    partitions=[
-                        ctx.storage.read(ctx.initial_workset_key(pid))
-                        for pid in range(ctx.parallelism)
-                    ],
-                    partitioned_by=ctx.state_key,
-                )
-        ctx.cluster.events.record(
-            EventKind.RESTART,
-            time=ctx.executor.clock.now,
-            superstep=superstep,
-            strategy=self.name,
-            lost_partitions=sorted(lost_partitions),
-        )
-        return RecoveryOutcome(
-            state=restored_state, workset=restored_workset, restarted=True
+        return ctx.restart_from_inputs(
+            superstep, workset=workset is not None,
+            strategy=self.name, lost_partitions=sorted(lost_partitions),
         )

@@ -1,8 +1,9 @@
 """Recovery-strategy name registry.
 
-One place maps the strategy names accepted everywhere — the
-``EngineConfig.recovery`` field, the service's ``JobSpec.recovery``, the
-demo controller and the CLI ``--strategy`` flag — to constructed
+:func:`build_strategy` is the one place that maps the strategy names
+accepted everywhere — the ``EngineConfig.recovery`` field, the service's
+``JobSpec.recovery``, the demo controller, the CLI ``--strategy`` flag and
+the adaptive selector's candidates — to constructed
 :class:`RecoveryStrategy` instances, with a uniform
 :class:`repro.errors.ConfigError` (listing the valid names) for unknown
 ones.
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 from ..config import RECOVERY_STRATEGIES, EngineConfig
 from ..errors import ConfigError
-from .adaptive import AdaptiveRecovery
 from .checkpointing import CheckpointRecovery
 from .compensation import CompensationFunction
 from .confined import ConfinedRecovery
@@ -67,6 +67,9 @@ def build_strategy(
     if name == "confined":
         return ConfinedRecovery(snapshot_interval=snapshot_interval)
     if name == "adaptive":
+        # the selector builds its candidates through this registry
+        from .adaptive import AdaptiveRecovery
+
         return AdaptiveRecovery(
             compensation,
             invariants,

@@ -16,12 +16,8 @@ from typing import Any
 from ..algorithms.connected_components import connected_components
 from ..algorithms.pagerank import pagerank
 from ..config import RECOVERY_STRATEGIES, EngineConfig
-from ..core.adaptive import AdaptiveRecovery
-from ..core.checkpointing import CheckpointRecovery
-from ..core.confined import ConfinedRecovery
-from ..core.incremental import IncrementalCheckpointRecovery
 from ..core.recovery import RecoveryStrategy
-from ..core.restart import RestartRecovery
+from ..core.strategies import build_strategy
 from ..errors import ConfigError
 from ..graph.generators import demo_graph, demo_pagerank_graph, twitter_like_graph
 from ..graph.graph import Graph
@@ -251,30 +247,21 @@ class DemoSession:
         return list(self._failures)
 
     def _build_recovery(self, name: str, job, checkpoint_interval: int) -> RecoveryStrategy:
-        if name == "optimistic":
-            return job.optimistic()
-        if name == "checkpoint":
-            return CheckpointRecovery(interval=checkpoint_interval)
-        if name == "incremental":
-            if self.algorithm != "connected-components":
-                raise ConfigError(
-                    "incremental checkpointing requires a delta iteration "
-                    "(the connected-components tab)"
-                )
-            return IncrementalCheckpointRecovery()
-        if name == "restart":
-            return RestartRecovery()
-        if name == "confined":
-            return ConfinedRecovery()
-        if name == "adaptive":
-            return AdaptiveRecovery(
-                getattr(job, "compensation", None),
-                getattr(job, "invariants", None),
-                checkpoint_interval=checkpoint_interval,
+        if name not in RECOVERIES:
+            raise ConfigError(
+                f"recovery must be one of {', '.join(RECOVERIES)}, got {name!r}; "
+                f"hint: pick a strategy name, e.g. --strategy confined"
             )
-        raise ConfigError(
-            f"recovery must be one of {', '.join(RECOVERIES)}, got {name!r}; "
-            f"hint: pick a strategy name, e.g. --strategy confined"
+        if name == "incremental" and self.algorithm != "connected-components":
+            raise ConfigError(
+                "incremental checkpointing requires a delta iteration "
+                "(the connected-components tab)"
+            )
+        return build_strategy(
+            name,
+            compensation=job.compensation,
+            invariants=job.invariants,
+            checkpoint_interval=checkpoint_interval,
         )
 
     def press_play(

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from ..config import EngineConfig
-from ..core.recovery import RecoveryContext
 from ..dataflow.operators import SourceOperator
 from ..dataflow.plan import Plan
 from ..errors import IterationError
@@ -101,20 +100,6 @@ def bind_statics(
             records, parallelism, key=source.partitioned_by
         )
     return bound
-
-
-def pin_initial_inputs(storage: StableStorage, ctx: RecoveryContext) -> None:
-    """Write the initial inputs to stable storage, uncharged.
-
-    Every real deployment starts with its inputs on a distributed
-    filesystem, so pinning them is free; *reading them back* after a
-    failure is charged (restart recovery pays it).
-    """
-    for pid, records in enumerate(ctx.initial_state.partitions):
-        storage.write(ctx.initial_state_key(pid), records or [], charge=False)
-    if ctx.initial_workset is not None:
-        for pid, records in enumerate(ctx.initial_workset.partitions):
-            storage.write(ctx.initial_workset_key(pid), records or [], charge=False)
 
 
 def count_converged(

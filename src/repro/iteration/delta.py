@@ -14,8 +14,7 @@ keeps the solution set in a keyed state backend
 (:mod:`repro.runtime.state`): partitioned by the state key like Flink's
 co-located solution sets (so no shuffle is needed) and indexed per
 partition, so applying the delta costs O(|delta|) — not O(|state|) — per
-superstep. ``EngineConfig.state_backend`` selects the backend
-implementation.
+superstep.
 
 Failures destroy the freshly updated solution-set partitions *and* the
 next workset partitions on the failed workers.
@@ -35,7 +34,7 @@ from ..observability.telemetry import RunTelemetry
 from ..observability.tracer import Tracer
 from ..runtime.failures import FailureSchedule
 from ..runtime.metrics import IterationStats
-from ..runtime.state import make_state_backend
+from ..runtime.state import KeyedStateBackend
 from ._runtime import JobRuntime
 from .driver import StepPlugin, run_supersteps
 from .result import IterationResult
@@ -127,8 +126,7 @@ class _DeltaLoop(StepPlugin):
         self.workset = self._partition(
             solution_records if self._initial_workset is None else self._initial_workset
         )
-        self.backend = make_state_backend(
-            runtime.config.state_backend,
+        self.backend = KeyedStateBackend(
             solution,
             spec.state_key,
             metrics=runtime.metrics,
@@ -136,7 +134,6 @@ class _DeltaLoop(StepPlugin):
             truth=spec.truth,
             truth_tolerance=spec.truth_tolerance,
         )
-        self.run_attributes = {"state_backend": self.backend.name}
         return solution.copy(), self.workset.copy(), self.backend
 
     def begin(self) -> dict[str, Any]:

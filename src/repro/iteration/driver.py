@@ -15,9 +15,8 @@ per-run loop state of one mode (:mod:`repro.iteration.bulk` and
   ``state_key``, ``termination``, ``max_supersteps``, ``message_counter``)
   and the plan sources the plug-in binds itself every superstep;
 * ``start(runtime)`` — keep ``runtime``, partition the initial datasets
-  (raising on empty state), set ``run_attributes`` (mode-specific run-span
-  attributes) and return what the recovery context pins: ``(state,
-  workset, state_backend)``;
+  (raising on empty state) and return what the recovery context pins:
+  ``(state, workset, state_backend)``;
 * ``begin()`` — called as a superstep opens; returns mode-specific
   attributes its span opens with;
 * ``step(statics, cache, stats)`` — execute the step plan, make its result
@@ -52,7 +51,7 @@ from ..runtime.events import EventKind
 from ..runtime.executor import PartitionedDataset
 from ..runtime.failures import FailureEvent, FailureSchedule
 from ..runtime.metrics import IterationStats, StatsSeries
-from ._runtime import JobRuntime, bind_statics, build_runtime, pin_initial_inputs
+from ._runtime import JobRuntime, bind_statics, build_runtime
 from .result import IterationResult
 from .snapshots import SnapshotPhase, SnapshotStore
 
@@ -62,7 +61,6 @@ class StepPlugin:
 
     mode: str
     runtime: JobRuntime
-    run_attributes: dict[str, Any] = {}
 
     def __init__(self, spec: Any, dynamic_sources: set[str]):
         self.spec = spec
@@ -110,11 +108,13 @@ def _fail_and_recover(
     stats.failed = True
     if not lost:
         return lost, None
-    if recovery.needs_preloss_capture:
-        # Confined recovery's replay oracle: the partition contents the
-        # failure is about to destroy (what a deterministic replay would
-        # recompute).
-        recovery.capture_preloss(superstep, *loop.view(), lost)
+    # What the failure is about to destroy (what a deterministic replay
+    # would recompute) travels to the strategy as data on the context.
+    state, workset = loop.view()
+    ctx.destroyed_state = {pid: state.partitions[pid] or [] for pid in lost}
+    ctx.destroyed_workset = (
+        None if workset is None else {pid: workset.partitions[pid] or [] for pid in lost}
+    )
     loop.lose(lost)
     ctx.cluster.reassign_lost(superstep)
     if ctx.execution_cache is not None:
@@ -124,6 +124,7 @@ def _fail_and_recover(
     # Worker-resident copies of the invalidated build sides are stale too.
     ctx.executor.release_residents()
     outcome = recovery.recover(ctx, superstep, *loop.view(), lost)
+    ctx.destroyed_state = ctx.destroyed_workset = None
     loop.install(outcome, recovery)
     stats.compensated = outcome.compensated
     stats.rolled_back = outcome.rolled_back_to is not None
@@ -193,7 +194,7 @@ def run_supersteps(
             state_backend=state_backend,
             execution_cache=cache,
         )
-        pin_initial_inputs(runtime.storage, ctx)
+        ctx.persist(ctx.input_prefix, initial_state, initial_workset, charge=False)
         recovery.reset()
         recovery.on_start(ctx)
         termination.reset()
@@ -208,7 +209,6 @@ def run_supersteps(
                 mode=loop.mode,
                 strategy=recovery.name,
                 parallelism=config.parallelism,
-                **loop.run_attributes,
                 parallel_backend=executor.backend.name,
                 parallel_workers=executor.backend.workers,
             )

@@ -17,7 +17,7 @@ Flink on commodity machines). It provides:
 * :mod:`repro.runtime.failures` — failure schedules and injection,
 * :mod:`repro.runtime.executor` — execution of dataflow plans over
   partitioned datasets,
-* :mod:`repro.runtime.state` — keyed solution-set state backends for the
+* :mod:`repro.runtime.state` — the keyed solution-set state backend of the
   delta-iteration driver (O(|delta|) superstep maintenance),
 * :mod:`repro.runtime.cache` — the superstep execution cache serving
   loop-invariant work across supersteps,
@@ -47,13 +47,7 @@ from .parallel import (
     iter_shared_backends,
 )
 from .partition import HashPartitioner, Partitioner, RangePartitioner, stable_hash
-from .state import (
-    KeyedStateBackend,
-    RebuildStateBackend,
-    StateBackend,
-    make_state_backend,
-    record_matches,
-)
+from .state import KeyedStateBackend, StateBackend, record_matches
 from .storage import StableStorage
 
 __all__ = [
@@ -78,7 +72,6 @@ __all__ = [
     "PlanExecutor",
     "ProcessBackend",
     "RangePartitioner",
-    "RebuildStateBackend",
     "SerialBackend",
     "SimulatedClock",
     "SimulatedCluster",
@@ -93,7 +86,6 @@ __all__ = [
     "default_parallel_workers",
     "get_backend",
     "iter_shared_backends",
-    "make_state_backend",
     "record_matches",
     "stable_hash",
 ]

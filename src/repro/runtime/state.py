@@ -1,4 +1,4 @@
-"""Keyed solution-set state backends.
+"""The keyed solution-set state backend.
 
 A delta iteration (paper §2.1) *selectively* updates its solution set:
 each superstep touches only the records named by the delta, which shrinks
@@ -22,25 +22,25 @@ maintained across supersteps:
 * :meth:`~StateBackend.lose` / :meth:`~StateBackend.replace_partition` /
   :meth:`~StateBackend.restore_from` give the failure path the same
   partition-destruction and reinstall operations datasets have, and
-* an opt-in change log (:meth:`~StateBackend.enable_change_tracking`)
+* an opt-in change log (:meth:`~KeyedStateBackend.enable_change_tracking`)
   hands incremental checkpointing the records changed since the last
   commit without any full-state scan.
 
-:class:`RebuildStateBackend` preserves the original driver's semantics
-(rebuild the dict every superstep) behind the same interface. It exists so
-equivalence tests and the ``benchmarks/test_state_backend.py`` benchmark
-can prove the keyed backend bit-identical while quantifying the win;
-``EngineConfig.state_backend`` selects between the two.
+:class:`StateBackend` is the interface plus the plumbing that does not
+depend on the index. The one other implementation — the original
+driver's rebuild-the-dict-every-superstep semantics — lives in the test
+tree (``tests/runtime/test_state_backend.py``) as the reference oracle
+the keyed backend is compared against; ``docs/REPRODUCING.md`` ("Removed
+modes") keeps its measured cost.
 
-Both backends report their work through the run's
+The backend reports its work through the run's
 :class:`~repro.runtime.metrics.MetricsRegistry`:
 
 * ``state.delta_applied`` — counter of delta records merged,
 * ``state.index_rebuilds`` — counter of partition indexes rebuilt
   (restores and partition replacements; zero in a failure-free run),
 * ``state.maintenance_ops`` — histogram of per-``apply_delta`` primitive
-  operations, the series the state-backend benchmark plots: O(|delta|)
-  for the keyed backend, O(|state| + |delta|) for the rebuild backend.
+  operations, the series the state-backend benchmark plots: O(|delta|).
 
 State keys must be unique per record; duplicate keys collapse (last one
 wins), exactly as the original dict rebuild collapsed them.
@@ -83,7 +83,7 @@ def record_matches(value: Any, expected: Any, tolerance: float) -> bool:
 
 
 class StateBackend(ABC):
-    """Common interface and plumbing of the solution-set backends.
+    """Interface and index-independent plumbing of a solution-set backend.
 
     Args:
         dataset: the initial solution set; its partition lists are copied,
@@ -96,9 +96,6 @@ class StateBackend(ABC):
             :meth:`converged_count`.
         truth_tolerance: tolerance for float truth comparison.
     """
-
-    #: identifier reported as the ``state_backend`` span attribute.
-    name: str = "abstract"
 
     def __init__(
         self,
@@ -265,30 +262,6 @@ class StateBackend(ABC):
         self._metrics.increment("state.index_rebuilds", rebuilt)
         self._invalidate()
 
-    # -- change tracking (consumed by incremental checkpointing) -----------------
-
-    #: whether this backend can hand out per-commit change logs.
-    supports_change_tracking: bool = False
-
-    def enable_change_tracking(self) -> None:
-        """Start recording which records change between commits."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support change tracking"
-        )
-
-    @property
-    def change_tracking_enabled(self) -> bool:
-        return False
-
-    def drain_changes(self) -> list[list[Any]]:
-        """Per-partition records changed since the last drain (and clear)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support change tracking"
-        )
-
-    def clear_changes(self) -> None:
-        """Forget any recorded changes (e.g. after a full base write)."""
-
     # -- internals ---------------------------------------------------------------
 
     def _discard_partition(self, partition_id: int) -> None:
@@ -325,9 +298,6 @@ class KeyedStateBackend(StateBackend):
     ``old → new`` transitions, so the driver's per-superstep statistics
     also stop scanning unchanged state.
     """
-
-    name = "keyed"
-    supports_change_tracking = True
 
     def __init__(self, dataset, key, **kwargs):
         super().__init__(dataset, key, **kwargs)
@@ -403,9 +373,10 @@ class KeyedStateBackend(StateBackend):
             self._converged = self._count_converged()
         return self._converged
 
-    # -- change tracking ---------------------------------------------------------
+    # -- change tracking (consumed by incremental checkpointing) -----------------
 
     def enable_change_tracking(self) -> None:
+        """Start recording which records change between commits."""
         self._tracking = True
 
     @property
@@ -438,6 +409,7 @@ class KeyedStateBackend(StateBackend):
         return drained
 
     def clear_changes(self) -> None:
+        """Forget any recorded changes (e.g. after a full base write)."""
         for pending in self._changed:
             pending.clear()
 
@@ -484,100 +456,3 @@ class KeyedStateBackend(StateBackend):
         self._index[partition_id] = None
         self._changed[partition_id].clear()
         self._converged = None if self._truth is not None else self._converged
-
-
-class RebuildStateBackend(StateBackend):
-    """The original driver's semantics: rebuild the dict every superstep.
-
-    Kept behind the shared interface (``EngineConfig.state_backend =
-    "rebuild"``) as the reference implementation equivalence tests and the
-    state-backend benchmark compare against. Every ``apply_delta``
-    re-copies each partition and re-hashes the touched ones — O(|state| +
-    |delta|) — and convergence counts and L1 deltas re-scan the full
-    state, exactly as the pre-backend driver did.
-    """
-
-    name = "rebuild"
-
-    def __init__(self, dataset, key, **kwargs):
-        super().__init__(dataset, key, **kwargs)
-        self._parts: list[list[Any] | None] = [
-            list(part) if part is not None else None for part in dataset.partitions
-        ]
-
-    @property
-    def partitions(self) -> list[list[Any] | None]:
-        return self._parts
-
-    def apply_delta(self, delta: PartitionedDataset) -> int:
-        previous = self.records_view() if self._value_fn is not None else []
-        new_partitions: list[list[Any] | None] = []
-        changed = 0
-        applied = 0
-        ops = 0
-        for pid, (solution_part, delta_part) in enumerate(
-            zip(self._parts, delta.partitions)
-        ):
-            if not delta_part:
-                part = self._require_target(pid, solution_part)
-                new_partitions.append(list(part))
-                ops += len(part)
-                continue
-            part = self._require_target(pid, solution_part)
-            merged = {self._key(record): record for record in part}
-            ops += len(part)
-            for record in delta_part:
-                record_key = self._key(record)
-                applied += 1
-                ops += 1
-                if merged.get(record_key) != record:
-                    changed += 1
-                merged[record_key] = record
-            new_partitions.append(list(merged.values()))
-        self._parts = new_partitions
-        self._invalidate()
-        self._metrics.increment("state.delta_applied", applied)
-        self._metrics.observe("state.maintenance_ops", ops)
-        if self._value_fn is not None:
-            new_values = {r[0]: self._value_fn(r) for r in self.records_view()}
-            old_values = {r[0]: self._value_fn(r) for r in previous}
-            keys = new_values.keys() | old_values.keys()
-            self.last_l1_delta = sum(
-                abs(new_values.get(k, 0.0) - old_values.get(k, 0.0)) for k in keys
-            )
-        return changed
-
-    def _install_partition(self, partition_id: int, records: list[Any]) -> None:
-        self._parts[partition_id] = records
-
-
-#: the selectable backend implementations, keyed by config name.
-BACKENDS: dict[str, type[StateBackend]] = {
-    KeyedStateBackend.name: KeyedStateBackend,
-    RebuildStateBackend.name: RebuildStateBackend,
-}
-
-
-def make_state_backend(
-    kind: str,
-    dataset: PartitionedDataset,
-    key: KeySpec,
-    *,
-    metrics: MetricsRegistry | None = None,
-    value_fn: Callable[[Any], float] | None = None,
-    truth: dict[Any, Any] | None = None,
-    truth_tolerance: float = 0.0,
-) -> StateBackend:
-    """Build the solution-set backend named by ``kind`` (see :data:`BACKENDS`)."""
-    if kind not in BACKENDS:
-        raise ExecutionError(
-            f"unknown state backend {kind!r} (available: {sorted(BACKENDS)})"
-        )
-    return BACKENDS[kind](
-        dataset,
-        key,
-        metrics=metrics,
-        value_fn=value_fn,
-        truth=truth,
-        truth_tolerance=truth_tolerance,
-    )

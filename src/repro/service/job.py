@@ -37,12 +37,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from ..config import DEFAULT_CONFIG, RECOVERY_STRATEGIES, EngineConfig
-from ..core.adaptive import AdaptiveRecovery
-from ..core.checkpointing import CheckpointRecovery
-from ..core.confined import ConfinedRecovery
-from ..core.incremental import IncrementalCheckpointRecovery
 from ..core.recovery import RecoveryStrategy
-from ..core.restart import RestartRecovery
+from ..core.strategies import build_strategy
 from ..errors import (
     ConfigError,
     JobCancelledError,
@@ -242,20 +238,13 @@ class JobSpec:
         if self.recovery is None:
             return None
         if self.recovery == "optimistic":
-            return job.optimistic()
-        if self.recovery == "checkpoint":
-            return CheckpointRecovery(interval=self.checkpoint_interval)
-        if self.recovery == "incremental":
-            return IncrementalCheckpointRecovery()
-        if self.recovery == "confined":
-            return ConfinedRecovery()
-        if self.recovery == "adaptive":
-            return AdaptiveRecovery(
-                getattr(job, "compensation", None),
-                getattr(job, "invariants", None),
-                checkpoint_interval=self.checkpoint_interval,
-            )
-        return RestartRecovery()
+            return job.optimistic()  # the job's own error when it has no compensation
+        return build_strategy(
+            self.recovery,
+            compensation=getattr(job, "compensation", None),
+            invariants=getattr(job, "invariants", None),
+            checkpoint_interval=self.checkpoint_interval,
+        )
 
     def run_standalone(
         self,

@@ -44,10 +44,19 @@ def recovery_ctx(initial_records):
         initial_state=initial_state,
         initial_workset=initial_workset,
     )
-    for pid, records in enumerate(initial_state.partitions):
-        storage.write(ctx.initial_state_key(pid), records, charge=False)
-        storage.write(ctx.initial_workset_key(pid), records, charge=False)
+    ctx.persist(ctx.input_prefix, initial_state, initial_workset, charge=False)
     return ctx
+
+
+def destroy(ctx: RecoveryContext, state, workset, lost: list[int]) -> None:
+    """What the driver does on a failure: hand the strategy the pre-loss
+    contents of the ``lost`` partitions on the context, then destroy them."""
+    ctx.destroyed_state = {pid: state.partitions[pid] for pid in lost}
+    state.lose(lost)
+    ctx.destroyed_workset = None
+    if workset is not None:
+        ctx.destroyed_workset = {pid: workset.partitions[pid] for pid in lost}
+        workset.lose(lost)
 
 
 def damaged_state(ctx: RecoveryContext, lost: list[int]) -> PartitionedDataset:

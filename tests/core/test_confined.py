@@ -8,7 +8,7 @@ from repro.errors import IterationError, RecoveryError, ReplayError
 from repro.runtime.clock import CostCategory
 from repro.runtime.events import EventKind
 
-from .conftest import damaged_state
+from .conftest import damaged_state, destroy
 
 
 class TestMessageLog:
@@ -111,8 +111,7 @@ class TestConfinedRecovery:
         strategy.on_start(recovery_ctx)
         live = damaged_state(recovery_ctx, [])
         pre_loss = [list(part) for part in live.partitions]
-        strategy.capture_preloss(2, live, None, [1])
-        live.lose([1])
+        destroy(recovery_ctx, live, None, [1])
         outcome = strategy.recover(recovery_ctx, 2, live, None, [1])
         assert outcome.healed_partitions == [1]
         assert not outcome.restarted and not outcome.compensated
@@ -128,8 +127,7 @@ class TestConfinedRecovery:
         log = recovery_ctx.executor.message_log
         log.deliver([100, 50, 0, 0])
         live = damaged_state(recovery_ctx, [])
-        strategy.capture_preloss(1, live, None, [1])
-        live.lose([1])
+        destroy(recovery_ctx, live, None, [1])
         strategy.recover(recovery_ctx, 1, live, None, [1])
         clock = recovery_ctx.executor.clock
         replay_cost = clock.spent(CostCategory.REPLAY)
@@ -145,8 +143,7 @@ class TestConfinedRecovery:
         strategy = ConfinedRecovery(snapshot_interval=10)
         strategy.on_start(recovery_ctx)
         live = damaged_state(recovery_ctx, [])
-        strategy.capture_preloss(0, live, None, [0])
-        live.lose([0])
+        destroy(recovery_ctx, live, None, [0])
         before = recovery_ctx.executor.clock.spent(CostCategory.RESTORE_IO)
         strategy.recover(recovery_ctx, 0, live, None, [0])
         assert recovery_ctx.executor.clock.spent(CostCategory.RESTORE_IO) > before
@@ -155,8 +152,7 @@ class TestConfinedRecovery:
         strategy = ConfinedRecovery()
         strategy.on_start(recovery_ctx)
         live = damaged_state(recovery_ctx, [])
-        strategy.capture_preloss(3, live, None, [2])
-        live.lose([2])
+        destroy(recovery_ctx, live, None, [2])
         strategy.recover(recovery_ctx, 3, live, None, [2])
         events = recovery_ctx.cluster.events.of_kind(EventKind.CONFINED_REPLAY)
         assert len(events) == 1
@@ -170,14 +166,12 @@ class TestConfinedRecovery:
         log = recovery_ctx.executor.message_log
         live = damaged_state(recovery_ctx, [])
         log.deliver([10, 10, 10, 10])
-        strategy.capture_preloss(1, live, None, [0])
         lost_once = live.copy()
-        lost_once.lose([0])
+        destroy(recovery_ctx, lost_once, None, [0])
         strategy.recover(recovery_ctx, 1, lost_once, None, [0])
         # second failure, no commit in between: the log kept the epochs
-        strategy.capture_preloss(2, live, None, [1])
         lost_twice = live.copy()
-        lost_twice.lose([1])
+        destroy(recovery_ctx, lost_twice, None, [1])
         outcome = strategy.recover(recovery_ctx, 2, lost_twice, None, [1])
         assert outcome.healed_partitions == [1]
         events = recovery_ctx.cluster.events.of_kind(EventKind.CONFINED_REPLAY)
@@ -189,9 +183,7 @@ class TestConfinedRecovery:
         live = damaged_state(recovery_ctx, [])
         workset = damaged_state(recovery_ctx, [])
         expected = list(workset.partitions[1])
-        strategy.capture_preloss(2, live, workset, [1])
-        live.lose([1])
-        workset.lose([1])
+        destroy(recovery_ctx, live, workset, [1])
         outcome = strategy.recover(recovery_ctx, 2, live, workset, [1])
         assert outcome.workset is not None
         assert outcome.workset.partitions[1] == expected

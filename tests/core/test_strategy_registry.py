@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.algorithms.connected_components import connected_components
+from repro.algorithms.pagerank import pagerank
 from repro.config import RECOVERY_STRATEGIES, EngineConfig
 from repro.core import STRATEGY_NAMES, build_strategy, resolve_recovery
 from repro.core.adaptive import AdaptiveRecovery
@@ -11,6 +13,10 @@ from repro.core.incremental import IncrementalCheckpointRecovery
 from repro.core.optimistic import OptimisticRecovery
 from repro.core.restart import RestartRecovery
 from repro.errors import ConfigError
+from repro.graph.generators import multi_component_graph, twitter_like_graph
+from repro.iteration.delta import run_delta_iteration
+from repro.runtime.events import EventKind
+from repro.runtime.failures import FailureSchedule
 
 from .test_strategies import ResetCompensation
 
@@ -71,3 +77,53 @@ class TestEngineConfigRecovery:
         config = EngineConfig().with_recovery("adaptive")
         assert config.recovery == "adaptive"
         assert EngineConfig().recovery is None
+
+
+class TestJobsResolveWithTheirOwnCompensation:
+    """``EngineConfig.recovery`` run through a ``BulkJob`` / ``DeltaJob``
+    resolves with the job's compensation function and invariants — the
+    driver alone has none to offer."""
+
+    FAILURES = FailureSchedule.single(2, [1])
+
+    @staticmethod
+    def _jobs():
+        return {
+            "bulk": pagerank(twitter_like_graph(60, seed=11), epsilon=1e-6),
+            "delta": connected_components(multi_component_graph(3, 8)),
+        }
+
+    @pytest.mark.parametrize("mode", ["bulk", "delta"])
+    def test_optimistic_by_name_compensates_and_reaches_the_fixpoint(self, mode):
+        job = self._jobs()[mode]
+        config = EngineConfig(parallelism=4, spare_workers=8)
+        baseline = job.run(config=config)
+        result = job.run(
+            config=config.with_recovery("optimistic"), failures=self.FAILURES
+        )
+        assert result.events.of_kind(EventKind.COMPENSATION)
+        assert result.converged
+        assert result.final_dict.keys() == baseline.final_dict.keys()
+        for key, value in baseline.final_dict.items():
+            assert result.final_dict[key] == pytest.approx(value, abs=1e-4)
+
+    @pytest.mark.parametrize("mode", ["bulk", "delta"])
+    def test_adaptive_by_name_considers_the_optimistic_candidate(self, mode):
+        job = self._jobs()[mode]
+        result = job.run(
+            config=EngineConfig(parallelism=4, spare_workers=8, recovery="adaptive"),
+            failures=self.FAILURES,
+        )
+        selections = result.events.of_kind(EventKind.STRATEGY_SELECTED)
+        assert selections
+        assert all("optimistic" in event.details["estimates"] for event in selections)
+
+    def test_the_bare_driver_still_has_no_compensation_to_offer(self):
+        job = self._jobs()["delta"]
+        with pytest.raises(ConfigError, match="compensation"):
+            run_delta_iteration(
+                job.spec,
+                job.initial_solution,
+                statics=job.statics,
+                config=EngineConfig(recovery="optimistic"),
+            )

@@ -1,15 +1,16 @@
 """The superstep driver's contract with the recovery SPI, in both modes.
 
-A spy strategy with ``needs_preloss_capture = True`` records every SPI
-call — and, by wrapping them in ``on_start``, the driver's execution-cache
-invalidation and resident release — on one toy bulk job and one toy delta
-job. On the failed superstep the order must be: ``capture_preloss`` sees
-complete partitions, then the cache is invalidated and residents are
-released, then ``recover`` sees the lost partitions as ``None``;
-``on_superstep_committed`` is not called for that superstep and the
-termination criterion is not consulted. Bulk and delta must emit the same
-``EventKind`` sequence (the toys are sized to run the same number of
-supersteps).
+A spy strategy records every SPI call — and, by wrapping them in
+``on_start``, the driver's execution-cache invalidation and resident
+release — on one toy bulk job and one toy delta job. On the failed
+superstep the cache is invalidated and residents are released, then
+``recover`` sees the lost partitions as ``None`` while the context carries
+the complete pre-loss contents of exactly those partitions
+(``ctx.destroyed_state`` / ``ctx.destroyed_workset``) — and no longer
+carries them once ``recover`` returned; ``on_superstep_committed`` is not
+called for that superstep and the termination criterion is not consulted.
+Bulk and delta must emit the same ``EventKind`` sequence (the toys are
+sized to run the same number of supersteps).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.iteration.termination import (
     TerminationCriterion,
 )
 from repro.runtime.events import EventKind
+from repro.runtime.executor import PartitionedDataset
 from repro.runtime.failures import FailureSchedule
 
 from .test_bulk import KEY, _halving_plan
@@ -54,18 +56,19 @@ class SpyTermination(TerminationCriterion):
 
 
 class SpyRecovery(RecoveryStrategy):
-    """Heals lost partitions from the pre-loss capture; logs every call."""
+    """Heals lost partitions from the contents the driver put on the
+    context; logs every call."""
 
     name = "spy"
-    needs_preloss_capture = True
 
     def __init__(self):
         self.calls: list[str] = []
         self.seen: dict[str, tuple] = {}
-        self._captured: dict[str, dict[int, list]] = {}
+        self.ctx = None
 
     def on_start(self, ctx):
         self.calls.append("on_start")
+        self.ctx = ctx
         self._wrap(ctx.executor, "release_residents")
         if ctx.execution_cache is not None:
             self._wrap(ctx.execution_cache, "invalidate")
@@ -83,18 +86,6 @@ class SpyRecovery(RecoveryStrategy):
     def _lost_view(dataset, lost):
         return None if dataset is None else [dataset.partitions[p] for p in lost]
 
-    def capture_preloss(self, superstep, state, workset, lost_partitions):
-        self.calls.append(f"capture_preloss:{superstep}")
-        self.seen["capture_preloss"] = (
-            self._lost_view(state, lost_partitions),
-            self._lost_view(workset, lost_partitions),
-        )
-        for name, dataset in (("state", state), ("workset", workset)):
-            if dataset is not None:
-                self._captured[name] = {
-                    p: list(dataset.partitions[p]) for p in lost_partitions
-                }
-
     def on_superstep_committed(self, ctx, superstep, state, workset=None):
         self.calls.append(f"committed:{superstep}")
 
@@ -105,10 +96,11 @@ class SpyRecovery(RecoveryStrategy):
             self._lost_view(workset, lost_partitions),
         )
         self.seen["lost"] = tuple(lost_partitions)
-        for name, dataset in (("state", state), ("workset", workset)):
+        self.seen["destroyed"] = (ctx.destroyed_state, ctx.destroyed_workset)
+        for dataset, destroyed in zip((state, workset), self.seen["destroyed"]):
             if dataset is not None:
                 for p in lost_partitions:
-                    dataset.partitions[p] = self._captured[name][p]
+                    dataset.partitions[p] = destroyed[p]
         return RecoveryOutcome(
             state=state, workset=workset, healed_partitions=list(lost_partitions)
         )
@@ -181,7 +173,6 @@ def test_spi_order_on_a_failed_superstep(mode):
     expected = [
         "on_start",
         *before,
-        f"capture_preloss:{FAILED_SUPERSTEP}",
         "invalidate",
         "release_residents",
         f"recover:{FAILED_SUPERSTEP}",
@@ -196,15 +187,34 @@ def test_spi_order_on_a_failed_superstep(mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_capture_sees_complete_partitions_and_recover_sees_them_lost(mode):
     _, recovery, _ = _run(mode)
-    assert recovery.seen["lost"]
-    for captured in recovery.seen["capture_preloss"]:
-        assert captured is None or all(part is not None for part in captured)
+    lost = recovery.seen["lost"]
+    assert lost
+    # The context carried the complete contents of exactly the lost
+    # partitions ...
+    destroyed_state, destroyed_workset = recovery.seen["destroyed"]
+    assert sorted(destroyed_state) == sorted(lost)
+    assert all(part is not None for part in destroyed_state.values())
+    assert (destroyed_workset is None) == (mode == "bulk")
+    if destroyed_workset is not None:
+        assert sorted(destroyed_workset) == sorted(lost)
+        assert all(part is not None for part in destroyed_workset.values())
+    # ... which were non-trivial in both toys and are exactly what the
+    # failed superstep had computed for those partitions ...
+    assert any(destroyed_state.values())
+    reference = MODES[mode][0](None, FixedSupersteps(FAILED_SUPERSTEP + 1), None)
+    computed = PartitionedDataset.from_records(
+        reference.final_records, CONFIG.parallelism, key=KEY
+    )
+    for pid, part in destroyed_state.items():
+        assert sorted(part) == sorted(computed.partitions[pid])
+    # ... while recover saw those partitions lost.
     state_lost, workset_lost = recovery.seen["recover"]
     assert all(part is None for part in state_lost)
     assert (workset_lost is None) == (mode == "bulk")
     assert workset_lost is None or all(part is None for part in workset_lost)
-    # The state the failure destroyed was non-trivial in both toys.
-    assert any(recovery.seen["capture_preloss"][0])
+    # The contents do not outlive the recover call.
+    assert recovery.ctx.destroyed_state is None
+    assert recovery.ctx.destroyed_workset is None
 
 
 def test_bulk_and_delta_emit_the_same_event_kind_sequence():

@@ -108,13 +108,6 @@ class _AssertsHealedAssignment(RecoveryStrategy):
         self.name = inner.name
         self.observed_orphans: list[list[int]] = []
 
-    @property
-    def needs_preloss_capture(self) -> bool:
-        return self.inner.needs_preloss_capture
-
-    def capture_preloss(self, superstep, state, workset, lost_partitions):
-        self.inner.capture_preloss(superstep, state, workset, lost_partitions)
-
     def on_start(self, ctx):
         self.inner.on_start(ctx)
 
