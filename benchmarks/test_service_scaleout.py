@@ -8,7 +8,7 @@ through the tenant-fair single-process service under weighted load and
 under 2x-saturation overload. The claims:
 
 * throughput scales with the shard count (asserted >= 1.5x from 1 to 4
-  shards on hosts with >= 4 cores; reported otherwise, like S6);
+  shards on hosts with >= 4 cores; reported otherwise);
 * every job that succeeded through the fleet is bit-identical to running
   its descriptor standalone in this process;
 * deficit round-robin converges to the configured 4:2:1 tenant shares

@@ -48,10 +48,6 @@ VERTEX_KEY: KeySpec = first_field("vertex")
 MESSAGE_COUNTER = "records_in.candidate-label"
 
 
-# Operator UDFs live at module level so they pickle by reference and the
-# process execution backend can dispatch step-plan kernels to workers.
-
-
 def _label_to_neighbor(labeled: Any, edge: Any) -> Any:
     return (edge[1], labeled[1])
 

@@ -58,12 +58,6 @@ _MASS_KEY: KeySpec = first_field("mass")
 MESSAGE_COUNTER = "records_in.recompute-ranks"
 
 
-# Operator UDFs live at module level (not as lambdas inside
-# pagerank_plan) so they pickle by reference: the process execution
-# backend can then ship step-plan kernels to its workers instead of
-# falling back to inline execution.
-
-
 def _contribution(rank: Any, link: Any) -> Any:
     return (link[1], rank[1] * link[2])
 

@@ -14,9 +14,6 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 
-#: intra-job partition-execution backends (see :mod:`repro.runtime.parallel`).
-PARALLEL_BACKENDS = ("serial", "threads", "processes")
-
 #: recovery strategy names accepted by ``EngineConfig.recovery``, the service
 #: and the CLI ``--strategy`` flag (see :func:`repro.core.build_strategy`).
 RECOVERY_STRATEGIES = (
@@ -27,28 +24,6 @@ RECOVERY_STRATEGIES = (
     "confined",
     "adaptive",
 )
-
-
-def _env_parallel_backend() -> str:
-    """Default backend, overridable via ``REPRO_PARALLEL_BACKEND``.
-
-    The env hook lets CI run the whole test suite under another backend
-    without touching any call site; the value is validated like an
-    explicit one in ``EngineConfig.__post_init__``.
-    """
-    return os.environ.get("REPRO_PARALLEL_BACKEND", "serial")
-
-
-def _env_parallel_workers() -> int | None:
-    raw = os.environ.get("REPRO_PARALLEL_WORKERS")
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_PARALLEL_WORKERS must be an integer, got {raw!r}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -142,17 +117,6 @@ class EngineConfig:
             charges — every archived figure and benchmark baseline still
             reproduces exactly. ``"off"`` disables the cache and
             re-executes the full step plan every superstep.
-        parallel_backend: how partition kernels execute within one job:
-            ``"serial"`` (default — inline in the driver thread,
-            bit-identical to the original engine), ``"threads"`` (shared
-            thread pool) or ``"processes"`` (persistent forked worker
-            pool). Records, simulated time, metrics and superstep counts
-            are identical across backends; only wall-clock time changes.
-            Defaults to ``$REPRO_PARALLEL_BACKEND`` when set.
-        parallel_workers: worker count for the non-serial backends;
-            ``None`` uses :func:`repro.runtime.parallel.default_parallel_workers`
-            (cores, capped at 8). Defaults to ``$REPRO_PARALLEL_WORKERS``
-            when set.
         recovery: default recovery strategy name for drivers that were
             not handed an explicit strategy object (one of
             ``RECOVERY_STRATEGIES``, or ``None`` for the historical
@@ -179,8 +143,6 @@ class EngineConfig:
     seed: int = 42
     strict_iterations: bool = False
     execution_cache: str = "transparent"
-    parallel_backend: str = field(default_factory=_env_parallel_backend)
-    parallel_workers: int | None = field(default_factory=_env_parallel_workers)
     recovery: str | None = None
     event_log_capacity: int | None = None
 
@@ -202,15 +164,6 @@ class EngineConfig:
             raise ConfigError(
                 f"execution_cache must be 'off' or 'transparent', "
                 f"got {self.execution_cache!r}"
-            )
-        if self.parallel_backend not in PARALLEL_BACKENDS:
-            raise ConfigError(
-                f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
-                f"got {self.parallel_backend!r}"
-            )
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ConfigError(
-                f"parallel_workers must be >= 1 or None, got {self.parallel_workers}"
             )
         if self.recovery is not None and self.recovery not in RECOVERY_STRATEGIES:
             raise ConfigError(
@@ -240,12 +193,6 @@ class EngineConfig:
         """Return a copy with a different execution-cache mode."""
         return replace(self, execution_cache=execution_cache)
 
-    def with_parallel(
-        self, backend: str, workers: int | None = None
-    ) -> "EngineConfig":
-        """Return a copy with a different intra-job execution backend."""
-        return replace(self, parallel_backend=backend, parallel_workers=workers)
-
     def with_recovery(self, recovery: str | None) -> "EngineConfig":
         """Return a copy with a different default recovery strategy name."""
         return replace(self, recovery=recovery)
@@ -260,8 +207,8 @@ BACKPRESSURE_POLICIES = ("reject", "block")
 def _env_telemetry_enabled() -> bool:
     """Default telemetry switch, overridable via ``REPRO_TELEMETRY``.
 
-    Mirrors the ``REPRO_PARALLEL_BACKEND`` hook: CI flips the whole
-    suite to run with telemetry on without touching any call site.
+    The env hook lets CI run the whole suite with telemetry on without
+    touching any call site.
     """
     return os.environ.get("REPRO_TELEMETRY", "").strip().lower() in ("on", "1", "true")
 
@@ -336,8 +283,8 @@ VIEW_REFRESH_MODES = ("auto", "warm", "cold")
 def _env_view_refresh_mode() -> str:
     """Default view refresh mode, overridable via ``REPRO_VIEWS_REFRESH``.
 
-    Mirrors the ``REPRO_PARALLEL_BACKEND`` hook: CI can force every view
-    refresh cold (or warm) without touching any call site.
+    The env hook lets CI force every view refresh cold (or warm) without
+    touching any call site.
     """
     return os.environ.get("REPRO_VIEWS_REFRESH", "auto").strip().lower() or "auto"
 
@@ -553,13 +500,6 @@ class ServiceConfig:
             empty service).
         trace_jobs: record a per-attempt span tree per job (tagged with
             ``job_id``) via :class:`repro.observability.tracer.RecordingTracer`.
-        core_budget: machine cores shared between the ``pool_size`` job
-            slots and each job's intra-job parallel workers (see
-            :class:`repro.runtime.parallel.CoreBudget`). ``None`` uses
-            ``os.cpu_count()``. Each job's ``parallel_workers`` is
-            clamped to ``core_budget // pool_size`` (at least 1) so
-            concurrent jobs with process/thread backends don't
-            oversubscribe the machine.
         telemetry: the live telemetry layer's knobs (collector sampling,
             ring capacities, stall/divergence thresholds, JSONL path).
         default_recovery: recovery strategy name applied to submitted
@@ -582,7 +522,6 @@ class ServiceConfig:
     admission_timeout: float = 10.0
     poll_interval: float = 0.02
     trace_jobs: bool = True
-    core_budget: int | None = None
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     default_recovery: str | None = None
     views: ViewsConfig = field(default_factory=ViewsConfig)
@@ -606,10 +545,6 @@ class ServiceConfig:
             )
         if self.poll_interval <= 0:
             raise ConfigError(f"poll_interval must be > 0, got {self.poll_interval}")
-        if self.core_budget is not None and self.core_budget < 1:
-            raise ConfigError(
-                f"core_budget must be >= 1 or None, got {self.core_budget}"
-            )
         if (
             self.default_recovery is not None
             and self.default_recovery not in RECOVERY_STRATEGIES

@@ -51,7 +51,6 @@ import sys
 from typing import Sequence
 
 from ..analysis import Series, format_figure
-from ..config import PARALLEL_BACKENDS
 from ..errors import ConfigError, ReproError
 from ..iteration.snapshots import SnapshotPhase
 from ..observability.export import trace_to_jsonl
@@ -106,33 +105,6 @@ def _parse_failure(text: str) -> tuple[int, list[int]]:
             f"failure spec {text!r} names no partitions\nhint: {FAILURE_USAGE}"
         )
     return superstep, partitions
-
-
-def add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--parallel-backend`` / ``--parallel-workers``
-    options (run, serve and profile all take them)."""
-    parser.add_argument(
-        "--parallel-backend",
-        choices=PARALLEL_BACKENDS,
-        default=None,
-        help="intra-job execution backend; results are identical across "
-        "backends, only wall-clock time changes (default: REPRO_PARALLEL_BACKEND "
-        "or serial)",
-    )
-    parser.add_argument(
-        "--parallel-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for a parallel backend (default: derived from "
-        "the machine's core count)",
-    )
-
-
-def _check_parallel_workers(workers: int | None) -> None:
-    """Reject non-positive ``--parallel-workers`` with a usage error."""
-    if workers is not None and workers < 1:
-        raise ConfigError(f"parallel_workers must be >= 1, got {workers}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="record the run's span tree and write it as JSONL to PATH",
     )
-    add_parallel_arguments(parser)
     return parser
 
 
@@ -224,23 +195,12 @@ def build_profile_parser() -> argparse.ArgumentParser:
         "compensation, restart, plus confined recovery's log and replay)",
     )
     parser.add_argument("trace", help="JSONL trace written with --trace-out")
-    add_parallel_arguments(parser)
     return parser
 
 
 def profile_main(argv: Sequence[str]) -> int:
-    """``profile`` subcommand: read a trace, print the cost breakdown.
-
-    The parallel options are accepted for symmetry with run/serve and
-    validated the same way; the analysis itself reads a recorded trace,
-    whose backend is already fixed (it appears as run-span attributes).
-    """
+    """``profile`` subcommand: read a trace, print the cost breakdown."""
     args = build_profile_parser().parse_args(argv)
-    try:
-        _check_parallel_workers(args.parallel_workers)
-    except ConfigError as error:
-        print(f"error: {error}")
-        return 2
     try:
         report = format_profile(profile_trace(args.trace), title=args.trace)
     except (OSError, ValueError) as error:
@@ -308,14 +268,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--per-job",
         action="store_true",
         help="also print one line per terminal job",
-    )
-    parser.add_argument(
-        "--core-budget",
-        type=int,
-        default=None,
-        metavar="CORES",
-        help="cores shared between the pool's job slots; each job's "
-        "parallel workers are clamped to budget // pool (default: all cores)",
     )
     parser.add_argument(
         "--telemetry",
@@ -386,7 +338,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=8080,
         help="front-door port, 0 picks a free one (default: 8080)",
     )
-    add_parallel_arguments(parser)
     return parser
 
 
@@ -522,7 +473,6 @@ def serve_main(argv: Sequence[str]) -> int:
 
     args = build_serve_parser().parse_args(argv)
     try:
-        _check_parallel_workers(args.parallel_workers)
         _check_strategy(args.strategy)
         if args.status_interval is not None and args.status_interval <= 0:
             raise ConfigError(
@@ -548,8 +498,6 @@ def serve_main(argv: Sequence[str]) -> int:
                 failure_density=args.failure_density,
                 view_refresh_fraction=args.view_fraction,
                 recovery=args.strategy,
-                parallel_backend=args.parallel_backend,
-                parallel_workers=args.parallel_workers,
                 tenants=tenant_names,
             )
         )
@@ -566,7 +514,6 @@ def serve_main(argv: Sequence[str]) -> int:
             pool_size=args.pool,
             queue_capacity=args.queue_capacity,
             backpressure=args.backpressure,
-            core_budget=args.core_budget,
             default_recovery=args.strategy,
             telemetry=telemetry_config,
             fairness=fairness,
@@ -721,14 +668,11 @@ def build_views_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=7, help="scenario seed (default: 7)"
     )
-    add_parallel_arguments(parser)
     return parser
 
 
 def views_main(argv: Sequence[str]) -> int:
     """``views`` subcommand: the mutating-graph view-maintenance demo."""
-    from dataclasses import replace
-
     from ..config import ServiceConfig, ViewsConfig
     from ..runtime.failures import FailureSchedule
     from ..views import ScenarioConfig, run_scenario
@@ -736,7 +680,6 @@ def views_main(argv: Sequence[str]) -> int:
     args = build_views_parser().parse_args(argv)
     try:
         _check_strategy(args.strategy)
-        _check_parallel_workers(args.parallel_workers)
         if args.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {args.epochs}")
         if args.fail_epoch is not None and args.fail_epoch < 1:
@@ -755,12 +698,6 @@ def views_main(argv: Sequence[str]) -> int:
                 warm_threshold=args.warm_threshold,
             ),
         )
-        engine = config.engine
-        if args.parallel_backend is not None or args.parallel_workers is not None:
-            engine = engine.with_parallel(
-                args.parallel_backend or engine.parallel_backend,
-                args.parallel_workers,
-            )
     except ConfigError as error:
         print(f"error: {error}")
         return 2
@@ -773,8 +710,6 @@ def views_main(argv: Sequence[str]) -> int:
         epochs=args.epochs, failures=failures, fail_epoch=args.fail_epoch
     )
     try:
-        # thread the engine overrides through the scenario's per-view config
-        config = replace(config, engine_config=engine)
         if args.service:
             from ..service import JobService
 
@@ -882,8 +817,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             spare_workers=max(4, args.parallelism),
             twitter_size=args.size,
             seed=args.seed,
-            parallel_backend=args.parallel_backend,
-            parallel_workers=args.parallel_workers,
         )
         for superstep, partitions in failures:
             session.schedule_failure(superstep, partitions)
@@ -918,8 +851,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "graph": args.graph,
                     "recovery": args.strategy,
                     "parallelism": args.parallelism,
-                    "parallel_backend": args.parallel_backend,
-                    "parallel_workers": args.parallel_workers,
                     "supersteps": run.result.supersteps,
                     "converged": run.result.converged,
                     "sim_time": run.result.clock.now,

@@ -26,7 +26,6 @@ from ..iteration.result import IterationResult
 from ..iteration.snapshots import SnapshotPhase, SnapshotStore, StateSnapshot
 from ..observability.tracer import Tracer
 from ..runtime.failures import FailureSchedule
-from ..runtime.parallel import PARALLEL_BACKENDS
 from .render import render_components, render_ranks
 from .statistics import DemoStatistics
 
@@ -173,14 +172,6 @@ class DemoSession:
             scheduled failures.
         twitter_size: vertex count of the synthetic Twitter graph.
         seed: generator seed.
-        parallel_backend: intra-job execution backend (``"serial"``,
-            ``"threads"`` or ``"processes"``); ``None`` keeps the
-            :class:`repro.config.EngineConfig` default (the
-            ``REPRO_PARALLEL_BACKEND`` environment variable, else
-            serial). Results are identical across backends — only
-            wall-clock time changes.
-        parallel_workers: worker count for a parallel backend; ``None``
-            picks a default from the machine's core count.
     """
 
     def __init__(
@@ -191,25 +182,12 @@ class DemoSession:
         spare_workers: int = 4,
         twitter_size: int = 500,
         seed: int = 7,
-        parallel_backend: str | None = None,
-        parallel_workers: int | None = None,
     ):
         if algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-        if parallel_backend is not None and parallel_backend not in PARALLEL_BACKENDS:
-            raise ConfigError(
-                f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
-                f"got {parallel_backend!r}"
-            )
-        if parallel_workers is not None and parallel_workers < 1:
-            raise ConfigError(
-                f"parallel_workers must be >= 1, got {parallel_workers}"
-            )
         self.algorithm = algorithm
         self.parallelism = parallelism
         self.spare_workers = spare_workers
-        self.parallel_backend = parallel_backend
-        self.parallel_workers = parallel_workers
         if isinstance(graph, Graph):
             self.graph = graph
         elif graph == "small":
@@ -277,15 +255,8 @@ class DemoSession:
         ``tracer`` to capture the run's span tree for export or
         profiling; by default no tracing happens.
         """
-        overrides: dict[str, Any] = {}
-        if self.parallel_backend is not None:
-            overrides["parallel_backend"] = self.parallel_backend
-        if self.parallel_workers is not None:
-            overrides["parallel_workers"] = self.parallel_workers
         config = EngineConfig(
-            parallelism=self.parallelism,
-            spare_workers=self.spare_workers,
-            **overrides,
+            parallelism=self.parallelism, spare_workers=self.spare_workers
         )
         if self.algorithm == "connected-components":
             job = connected_components(self.graph)

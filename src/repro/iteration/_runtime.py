@@ -13,7 +13,6 @@ from ..observability.tracer import NOOP_TRACER, Tracer
 from ..runtime.cluster import SimulatedCluster
 from ..runtime.executor import PartitionedDataset, PlanExecutor
 from ..runtime.failures import FailureInjector, FailureSchedule
-from ..runtime.parallel import get_backend
 from ..runtime.state import record_matches
 from ..runtime.storage import StableStorage
 
@@ -56,7 +55,6 @@ def build_runtime(
         clock=cluster.clock,
         combiners=config.combiners,
         tracer=tracer,
-        backend=get_backend(config.parallel_backend, config.parallel_workers),
     )
     storage = StableStorage(cluster.clock)
     injector = FailureInjector(failures if failures is not None else FailureSchedule.none())

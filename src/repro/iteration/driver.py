@@ -121,8 +121,6 @@ def _fail_and_recover(
         # Cached partitions lived on the failed workers; recovery must
         # recompute them.
         ctx.execution_cache.invalidate(lost)
-    # Worker-resident copies of the invalidated build sides are stale too.
-    ctx.executor.release_residents()
     outcome = recovery.recover(ctx, superstep, *loop.view(), lost)
     ctx.destroyed_state = ctx.destroyed_workset = None
     loop.install(outcome, recovery)
@@ -162,13 +160,11 @@ def run_supersteps(
     converged = False
     supersteps_run = 0
 
-    # The stack drops worker-resident side values even when the run raises
-    # (the shared thread/process pools themselves stay up) and unhooks the
-    # telemetry bundle from the collector and event log. Setup runs inside
-    # it: a missing static or an empty initial state must not leave a dead
-    # run registered with the collector.
+    # The stack unhooks the telemetry bundle from the collector and event
+    # log even when the run raises. Setup runs inside it: a missing static
+    # or an empty initial state must not leave a dead run registered with
+    # the collector.
     with ExitStack() as cleanup:
-        cleanup.callback(executor.release_residents)
         if telemetry is not None:
             cleanup.callback(telemetry.close)
             telemetry.bind_runtime(metrics, clock, events, job=spec.name)
@@ -209,8 +205,6 @@ def run_supersteps(
                 mode=loop.mode,
                 strategy=recovery.name,
                 parallelism=config.parallelism,
-                parallel_backend=executor.backend.name,
-                parallel_workers=executor.backend.workers,
             )
         )
         for superstep in range(spec.max_supersteps):

@@ -11,7 +11,6 @@ half: :func:`render_status` turns that dict into the terminal frame the
     jobs    submitted=50 ok=31 failed=0 cancelled=0 timed-out=1 retries=2
     latency queue-wait p50=1.2ms p95=8.0ms p99=11.2ms
             job        p50=90ms  p95=310ms p99=480ms
-    backends processes x4: util=82% stolen=12 fallbacks=0
     running
       17 pagerank-seed42    attempt 0  superstep 12  l1=3.1e-03 rate=0.62 eta=4
       23 cc-seed99          attempt 1  superstep  3  workset=88 rate=0.41 eta=3  STALLED
@@ -154,24 +153,6 @@ def render_status(health: Mapping[str, Any], max_jobs: int = 12, max_alerts: int
         lines.append(_latency_line("queue-wait", latency.get("queue_wait")))
         lines.append(_latency_line("attempt", latency.get("attempt")))
         lines.append(_latency_line("job", latency.get("job")))
-
-    backends = health.get("backends") or []
-    for backend in backends:
-        text = (
-            f"backend {backend.get('name', '?')} x{backend.get('workers', '?')}: "
-            f"util={_fmt_pct(backend.get('utilization'))} "
-            f"chunks={backend.get('chunks_completed', 0)}"
-        )
-        stolen = backend.get("chunks_stolen")
-        if stolen:
-            text += f" stolen={stolen}"
-        fallbacks = backend.get("inline_fallbacks")
-        if fallbacks:
-            text += f" inline-fallbacks={fallbacks}"
-        respawns = backend.get("worker_respawns")
-        if respawns:
-            text += f" respawns={respawns}"
-        lines.append(text)
 
     jobs = health.get("jobs") or []
     if jobs:

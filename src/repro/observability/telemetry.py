@@ -9,7 +9,7 @@ finished; this module watches runs *while they execute*. Three pieces:
   lives.
 * :class:`TelemetryCollector` — the sampler. Sources (the service's
   :class:`repro.runtime.metrics.MetricsRegistry`, each running job's
-  per-run registry, the shared parallel-backend registries) register
+  per-run registry) register
   with a scope and optional ``(job_id, attempt)`` correlation; the
   collector periodically takes each registry's *atomic*
   ``snapshot_all()`` and appends every counter and gauge to the matching

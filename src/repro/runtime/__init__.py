@@ -21,10 +21,7 @@ Flink on commodity machines). It provides:
   delta-iteration driver (O(|delta|) superstep maintenance),
 * :mod:`repro.runtime.cache` — the superstep execution cache serving
   loop-invariant work across supersteps,
-* :mod:`repro.runtime.kernels` — pure, picklable per-partition operator
-  kernels,
-* :mod:`repro.runtime.parallel` — pluggable intra-job execution backends
-  (serial / threads / processes) running those kernels.
+* :mod:`repro.runtime.kernels` — pure per-partition operator kernels.
 """
 
 from .cache import EXECUTION_CACHE_MODES, ChargeLog, SuperstepExecutionCache
@@ -34,31 +31,17 @@ from .events import Event, EventKind, EventLog
 from .executor import PartitionedDataset, PlanExecutor
 from .failures import FailureEvent, FailureInjector, FailureSchedule
 from .metrics import IterationStats, MetricsRegistry, StatsSeries
-from .parallel import (
-    PARALLEL_BACKENDS,
-    CoreBudget,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    close_shared_backends,
-    default_parallel_workers,
-    get_backend,
-    iter_shared_backends,
-)
 from .partition import HashPartitioner, Partitioner, RangePartitioner, stable_hash
 from .state import KeyedStateBackend, StateBackend, record_matches
 from .storage import StableStorage
 
 __all__ = [
     "ChargeLog",
-    "CoreBudget",
     "CostCategory",
     "EXECUTION_CACHE_MODES",
     "Event",
     "EventKind",
     "EventLog",
-    "ExecutionBackend",
     "FailureEvent",
     "FailureInjector",
     "FailureSchedule",
@@ -66,26 +49,18 @@ __all__ = [
     "IterationStats",
     "KeyedStateBackend",
     "MetricsRegistry",
-    "PARALLEL_BACKENDS",
     "PartitionedDataset",
     "Partitioner",
     "PlanExecutor",
-    "ProcessBackend",
     "RangePartitioner",
-    "SerialBackend",
     "SimulatedClock",
     "SimulatedCluster",
     "StableStorage",
     "StateBackend",
     "StatsSeries",
     "SuperstepExecutionCache",
-    "ThreadBackend",
     "Worker",
     "WorkerState",
-    "close_shared_backends",
-    "default_parallel_workers",
-    "get_backend",
-    "iter_shared_backends",
     "record_matches",
     "stable_hash",
 ]

@@ -5,7 +5,9 @@ materializes every operator's output as a :class:`PartitionedDataset` with
 exactly ``parallelism`` partitions, charging simulated compute time per
 record processed and network time per record shuffled, and incrementing
 the ``records_in.<operator>`` / ``shuffled.<operator>`` counters that the
-demo statistics are derived from.
+demo statistics are derived from. Each operator runs its partition
+kernel (:mod:`repro.runtime.kernels`) over the partitions in order, in the
+calling thread.
 
 Partitioning is tracked through the plan: a dataset knows which
 :class:`repro.dataflow.datatypes.KeySpec` it is currently hash-partitioned
@@ -17,6 +19,7 @@ applies to delta-iteration solution sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from ..dataflow.datatypes import KeySpec
@@ -41,14 +44,6 @@ from . import kernels
 from .cache import SuperstepExecutionCache
 from .clock import SimulatedClock
 from .metrics import MetricsRegistry
-from .parallel import (
-    HEAVY,
-    LIGHT,
-    ExecutionBackend,
-    Resident,
-    SerialBackend,
-    next_resident_token,
-)
 from .partition import HashPartitioner
 
 
@@ -182,7 +177,6 @@ class PlanExecutor:
         metrics: MetricsRegistry | None = None,
         combiners: bool = False,
         tracer: Tracer | None = None,
-        backend: ExecutionBackend | None = None,
     ):
         if parallelism < 1:
             raise ExecutionError(f"parallelism must be >= 1, got {parallelism}")
@@ -198,10 +192,6 @@ class PlanExecutor:
         #: so jobs that interpret those counters (e.g. the demo's
         #: "messages" statistic) run with combiners off.
         self.combiners = combiners
-        #: intra-job partition-execution backend; every simulated charge
-        #: happens in this thread regardless of backend, so records,
-        #: clock and counters are bit-identical across all of them.
-        self.backend = backend if backend is not None else SerialBackend()
         #: the execution cache of the in-flight ``execute()`` call (set
         #: per call from its ``cache`` argument; ``None`` disables reuse).
         self._cache: SuperstepExecutionCache | None = None
@@ -215,12 +205,6 @@ class PlanExecutor:
         #: per-operator metric names, interned once instead of
         #: re-formatting f-strings on the per-superstep hot path.
         self._metric_keys: dict[str, tuple[str, str, str]] = {}
-        #: resident side values shipped to process workers: id(value) ->
-        #: Resident marker, plus pins keeping the values alive while the
-        #: workers hold copies (released via release_residents()).
-        self._resident_token = next_resident_token()
-        self._residents: dict[int, Resident] = {}
-        self._resident_pins: list[Any] = []
 
     # -- public API ------------------------------------------------------------
 
@@ -335,79 +319,27 @@ class PlanExecutor:
         self.metrics.increment(self._op_keys(op.name)[0], records)
         self.clock.charge_compute(records)
 
-    def _dispatch(self, kernel, tasks: list[tuple], weight: str = HEAVY) -> list[Any]:
-        """Run one partition kernel over every task via the backend."""
-        return self.backend.run(kernel, tasks, weight=weight)
-
-    def _resident(self, value: Any) -> Any:
-        """Mark a reusable side value for ship-once worker residency.
-
-        Only meaningful for backends with worker-local state (processes);
-        other backends receive the raw value. Same object in, same
-        marker out, so the workers' copies are reused across supersteps
-        until :meth:`release_residents`.
-        """
-        if not self.backend.uses_residents:
-            return value
-        marker = self._residents.get(id(value))
-        if marker is None:
-            marker = Resident((self._resident_token, len(self._resident_pins)), value)
-            self._residents[id(value)] = marker
-            self._resident_pins.append(value)
-        return marker
-
-    def release_residents(self) -> None:
-        """Drop this executor's resident values from all workers.
-
-        Iteration drivers call this whenever the execution cache is
-        invalidated (the build sides the residents mirror are rebuilt
-        with fresh identities) and once at end of run.
-        """
-        if self._resident_pins:
-            self.backend.drop_residents(self._resident_token)
-        self._residents.clear()
-        self._resident_pins.clear()
+    def _dispatch(self, kernel, tasks: list[tuple]) -> list[Any]:
+        """Run one partition kernel over every task, in partition order."""
+        return [kernel(*task) for task in tasks]
 
     def _shuffle(
         self, dataset: PartitionedDataset, key: KeySpec, op_name: str
     ) -> PartitionedDataset:
         """Hash-repartition ``dataset`` by ``key`` unless already placed.
 
-        The redistribution loop is the hottest wall-clock path in the
-        engine, so it binds the partitioner and the per-partition
-        ``list.append`` methods once and routes each record with a single
-        dict-free dispatch; the simulated cost is unchanged (``moved``
-        still counts every record of every partition exactly once).
+        One routing pass over the source partitions in order, so every
+        target partition keeps its records in source order; ``moved``
+        counts every record of every partition exactly once.
         """
         dataset.require_complete(f"shuffle for {op_name!r}")
         if dataset.partitioned_by == key:
             return dataset
         keys = self._op_keys(op_name)
-        moved = 0
-        if self.backend.is_serial:
-            partition = HashPartitioner(self.parallelism).partition
-            parts: list[Any] = [[] for _ in range(self.parallelism)]
-            appends = [part.append for part in parts]
-            for part in dataset.partitions:
-                moved += len(part)  # type: ignore[arg-type]
-                for record in part:  # type: ignore[union-attr]
-                    appends[partition(key(record))](record)
-        else:
-            # Routing is a single cheap pass (LIGHT), so parallel
-            # backends may run it inline (the serial backend always
-            # does); the merge below concatenates bucket p of every
-            # source partition in source order — exactly the record
-            # order the fused loop above produces.
-            routed = self._dispatch(
-                kernels.route_kernel,
-                [(part, key, self.parallelism) for part in dataset.partitions],
-                weight=LIGHT,
-            )
-            parts = [[] for _ in range(self.parallelism)]
-            for buckets in routed:
-                for merged, bucket in zip(parts, buckets):
-                    merged.extend(bucket)
-            moved = sum(len(part) for part in dataset.partitions)  # type: ignore[arg-type]
+        parts = kernels.route_kernel(
+            chain.from_iterable(dataset.partitions), key, self.parallelism
+        )
+        moved = sum(len(part) for part in parts)
         self.clock.charge_network(moved)
         self.metrics.increment(keys[1], moved)
         self.metrics.observe("shuffle_volume", moved)
@@ -593,8 +525,7 @@ class PlanExecutor:
         left = self._cached_shuffle(op.inputs[0], left, op.left_key, op.name)
         right = self._cached_shuffle(op.inputs[1], right, op.right_key, op.name)
         if tables is None and not reusable:
-            # Dynamic build side: fuse build+probe in one kernel so the
-            # throwaway hash table never crosses a process boundary.
+            # Dynamic build side: fuse build+probe in one kernel.
             parts = self._dispatch(
                 kernels.hash_join_kernel,
                 [
@@ -611,12 +542,10 @@ class PlanExecutor:
                 [(part, op.right_key) for part in right.partitions],
             )
             cache.store_build(op, "right", tables)
-        # Reusable build side: ship each table once per worker and probe
-        # against the resident copy every superstep.
         parts = self._dispatch(
             kernels.probe_join_kernel,
             [
-                (left_part, self._resident(table), op.left_key, op.fn)
+                (left_part, table, op.left_key, op.fn)
                 for left_part, table in zip(left.partitions, tables)
             ],
         )
@@ -646,23 +575,20 @@ class PlanExecutor:
         if right_groups_all is None and right_reusable:
             right_groups_all = self._group_partitions(right, op.right_key)
             cache.store_build(op, "right", right_groups_all)
-        # Reusable sides travel as resident pre-grouped indexes; dynamic
-        # sides travel raw and are grouped inside the kernel (identical
+        # Reusable sides arrive as cached pre-grouped indexes; dynamic
+        # sides arrive raw and are grouped inside the kernel (identical
         # dicts either way, so the key-union iteration order matches).
-        tasks = []
-        for pid in range(self.parallelism):
-            if left_groups_all is not None:
-                lhs, left_grouped = self._resident(left_groups_all[pid]), True
-            else:
-                lhs, left_grouped = left.partitions[pid], False
-            if right_groups_all is not None:
-                rhs, right_grouped = self._resident(right_groups_all[pid]), True
-            else:
-                rhs, right_grouped = right.partitions[pid], False
-            tasks.append(
+        left_grouped = left_groups_all is not None
+        right_grouped = right_groups_all is not None
+        lhs_all = left_groups_all if left_grouped else left.partitions
+        rhs_all = right_groups_all if right_grouped else right.partitions
+        parts = self._dispatch(
+            kernels.co_group_kernel,
+            [
                 (lhs, rhs, op.left_key, op.right_key, op.fn, left_grouped, right_grouped)
-            )
-        parts = self._dispatch(kernels.co_group_kernel, tasks)
+                for lhs, rhs in zip(lhs_all, rhs_all)
+            ],
+        )
         return PartitionedDataset(partitions=parts, partitioned_by=self._join_partitioning(op))
 
     def _broadcast_side(self, op: CrossOperator, right: PartitionedDataset) -> list[Any]:
@@ -700,11 +626,8 @@ class PlanExecutor:
         # so pair processing is charged whether or not the side is cached.
         pairs = left.num_records() * len(broadcast)
         self._count_in(op, pairs)
-        # A cache-reusable broadcast is stable across supersteps, so ship
-        # it once per worker; a dynamic one is shipped with each task.
-        side = self._resident(broadcast) if reusable else broadcast
         parts = self._dispatch(
-            kernels.cross_kernel, [(part, side, op.fn) for part in left.partitions]
+            kernels.cross_kernel, [(part, broadcast, op.fn) for part in left.partitions]
         )
         return PartitionedDataset(partitions=parts, partitioned_by=None)
 

@@ -1,41 +1,23 @@
 """Pure partition kernels.
 
-Each kernel processes one partition of one operator and returns
-``(out_partition, counters)``. Kernels are deliberately *pure*: they
-touch no clock, no metrics registry, no tracer and no executor state, so
-the exact same function can run inline in the driver thread, on a thread
-pool, or inside a process worker — the parent charges all simulated
-costs from record counts it computes itself, which is what keeps every
-backend bit-identical (see :mod:`repro.runtime.parallel`).
-
-They are also *picklable*: every kernel is a module-level function, so
-the process backend ships it by reference (a few bytes of
-``module.qualname``) instead of by value. The operator closures they
-receive (``op.fn``, key extractors) must be picklable too for process
-dispatch; unpicklable closures transparently fall back to inline
-execution in the parent.
-
-The ``counters`` dict is small bookkeeping about the partition's work
-(records in/out); backends aggregate it into ``parallel.*`` metrics.
-Job-level counters (``records_in.<op>`` etc.) are *not* derived from it
-— the parent computes those before dispatch so they are identical across
-backends by construction.
+Each kernel processes one partition of one operator and returns the
+output partition. Kernels are deliberately *pure*: they touch no clock,
+no metrics registry, no tracer and no executor state. The executor calls
+them in the driver thread and charges every simulated cost from record
+counts it computes itself.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from ..dataflow.functions import emitted
 from .partition import stable_hash
 
-KernelResult = "tuple[list[Any], dict[str, int]]"
-
 
 def map_kernel(part: list[Any], fn: Callable[[Any], Any]):
     """Apply ``fn`` to every record."""
-    out = [fn(record) for record in part]
-    return out, {"records_in": len(part), "records_out": len(out)}
+    return [fn(record) for record in part]
 
 
 def flat_map_kernel(part: list[Any], fn: Callable[[Any], Any]):
@@ -43,28 +25,26 @@ def flat_map_kernel(part: list[Any], fn: Callable[[Any], Any]):
     out: list[Any] = []
     for record in part:
         out.extend(fn(record))
-    return out, {"records_in": len(part), "records_out": len(out)}
+    return out
 
 
 def filter_kernel(part: list[Any], fn: Callable[[Any], Any]):
     """Keep records for which ``fn`` is truthy."""
-    out = [record for record in part if fn(record)]
-    return out, {"records_in": len(part), "records_out": len(out)}
+    return [record for record in part if fn(record)]
 
 
 def fold_by_key_kernel(part: list[Any], key: Callable[[Any], Any], fn: Callable[[Any, Any], Any]):
     """Fold records sharing a key into one, preserving first-seen key order.
 
     This is both the post-shuffle reduce of ``reduce_by_key`` and the
-    map-side combiner: the fold is associative by operator contract, so
-    output is insertion-ordered exactly like the serial dict-based loop.
+    map-side combiner: the fold is associative by operator contract, and
+    output follows first-seen key order.
     """
     folded: dict[Any, Any] = {}
     for record in part:
         k = key(record)
         folded[k] = record if k not in folded else fn(folded[k], record)
-    out = list(folded.values())
-    return out, {"records_in": len(part), "records_out": len(out)}
+    return list(folded.values())
 
 
 def group_reduce_kernel(part: list[Any], key: Callable[[Any], Any], fn: Callable[[Any, list[Any]], Any]):
@@ -75,33 +55,32 @@ def group_reduce_kernel(part: list[Any], key: Callable[[Any], Any], fn: Callable
     out: list[Any] = []
     for k, group in groups.items():
         out.extend(fn(k, group))
-    return out, {"records_in": len(part), "records_out": len(out)}
+    return out
 
 
-def route_kernel(part: list[Any], key: Callable[[Any], Any], num_partitions: int):
+def route_kernel(part: Iterable[Any], key: Callable[[Any], Any], num_partitions: int):
     """Bucket records by hash of key: the map side of a shuffle.
 
-    Returns one bucket per target partition; the parent concatenates
-    bucket ``p`` of every source partition in source order, which is
-    exactly the record order the serial single-loop shuffle produces.
+    Returns one bucket per target partition, each holding its records
+    in source order.
     """
     buckets: list[list[Any]] = [[] for _ in range(num_partitions)]
     appends = [bucket.append for bucket in buckets]
     for record in part:
         appends[stable_hash(key(record)) % num_partitions](record)
-    return buckets, {"records_in": len(part), "records_out": len(part)}
+    return buckets
 
 
 def build_index_kernel(part: list[Any], key: Callable[[Any], Any]):
     """Build a hash index ``{key: [records]}`` over one partition.
 
     Used for cache-reusable join/co-group build sides: built once, then
-    kept resident in the workers across supersteps.
+    probed every superstep.
     """
     table: dict[Any, list[Any]] = {}
     for record in part:
         table.setdefault(key(record), []).append(record)
-    return table, {"records_in": len(part), "records_out": len(part)}
+    return table
 
 
 def probe_join_kernel(
@@ -116,7 +95,7 @@ def probe_join_kernel(
     for record in part:
         for match in get(key(record), ()):
             out.extend(emitted(fn(record, match)))
-    return out, {"records_in": len(part), "records_out": len(out)}
+    return out
 
 
 def hash_join_kernel(
@@ -126,11 +105,7 @@ def hash_join_kernel(
     right_key: Callable[[Any], Any],
     fn: Callable[[Any, Any], Any],
 ):
-    """Fused build+probe for dynamic (non-reusable) build sides.
-
-    Building in the worker avoids shipping the hash table over IPC when
-    it would be thrown away after one probe anyway.
-    """
+    """Fused build+probe for dynamic (non-reusable) build sides."""
     table: dict[Any, list[Any]] = {}
     for record in right_part:
         table.setdefault(right_key(record), []).append(record)
@@ -139,7 +114,7 @@ def hash_join_kernel(
     for record in left_part:
         for match in get(left_key(record), ()):
             out.extend(emitted(fn(record, match)))
-    return out, {"records_in": len(left_part) + len(right_part), "records_out": len(out)}
+    return out
 
 
 def co_group_kernel(
@@ -154,31 +129,25 @@ def co_group_kernel(
     """Co-group one partition pair.
 
     Either side arrives raw (a record list, grouped here) or pre-grouped
-    (a resident ``{key: [records]}`` index from the execution cache).
-    The key-iteration order is the set union ``lk | rk`` — identical to
-    the serial loop because the dicts are built from the same records in
-    the same order and the process backend forks (inheriting the parent's
-    hash seed), so set ordering matches across workers.
+    (a ``{key: [records]}`` index from the execution cache). The
+    key-iteration order is the set union ``lk | rk``.
     """
-    records_in = 0
     if left_grouped:
         left_groups = left
     else:
-        records_in += len(left)
         left_groups = {}
         for record in left:
             left_groups.setdefault(left_key(record), []).append(record)
     if right_grouped:
         right_groups = right
     else:
-        records_in += len(right)
         right_groups = {}
         for record in right:
             right_groups.setdefault(right_key(record), []).append(record)
     out: list[Any] = []
     for k in left_groups.keys() | right_groups.keys():
         out.extend(fn(k, left_groups.get(k, []), right_groups.get(k, [])))
-    return out, {"records_in": records_in, "records_out": len(out)}
+    return out
 
 
 def cross_kernel(part: list[Any], broadcast: list[Any], fn: Callable[[Any, Any], Any]):
@@ -187,4 +156,4 @@ def cross_kernel(part: list[Any], broadcast: list[Any], fn: Callable[[Any, Any],
     for record in part:
         for other in broadcast:
             out.extend(emitted(fn(record, other)))
-    return out, {"records_in": len(part) * len(broadcast), "records_out": len(out)}
+    return out

@@ -32,9 +32,6 @@ Everything observable lands on one :class:`repro.runtime.metrics.MetricsRegistry
 ``service.tenant.<t>.*``        per-tenant submitted/admitted/dequeued/shed
 ``service.queue_depth``         gauge: live queue depth
 ``service.jobs_in_flight``      gauge: jobs currently executing
-``service.core_budget``         gauge: cores shared across job slots
-``service.parallel_workers_per_job``  gauge: intra-job worker grant
-``service.parallel_workers_clamped``  workers trimmed by the core budget
 ``service.queue_depth_sampled`` histogram: depth observed at each admission
 ``service.time_in_queue_seconds``  histogram: submit → first dequeue
 ``service.attempt_seconds``     histogram: wall seconds per engine run
@@ -64,7 +61,6 @@ from ..iteration.result import IterationResult
 from ..observability.telemetry import TelemetryCollector
 from ..observability.telemetry_log import TelemetryLog
 from ..runtime.metrics import MetricsRegistry
-from ..runtime.parallel import CoreBudget, iter_shared_backends
 from .fair import FairAdmissionQueue, tenant_metric
 from .job import JobHandle, JobSpec, JobState
 from .queue import AdmissionQueue
@@ -97,11 +93,6 @@ class JobService:
                 block_timeout=config.admission_timeout,
                 metrics=self.metrics,
             )
-        # Split the machine's cores between the pool's job slots and each
-        # job's intra-job parallel workers (wall-clock only; results are
-        # backend-independent).
-        self._core_budget = CoreBudget(config.core_budget)
-        workers_per_job = self._core_budget.workers_per_slot(config.pool_size)
         # The telemetry layer is purely observational: the collector
         # samples registries on the wall clock and the log records
         # health/lifecycle events. Job results are bit-identical with it
@@ -124,7 +115,6 @@ class JobService:
         self._supervisor = JobSupervisor(
             metrics=self.metrics,
             trace_jobs=config.trace_jobs,
-            max_parallel_workers=workers_per_job,
             collector=self.collector,
             telemetry_log=self.telemetry_log,
             stall_supersteps=telemetry_cfg.stall_supersteps,
@@ -147,8 +137,6 @@ class JobService:
         self.metrics.set_gauge("service.pool_size", config.pool_size)
         self.metrics.set_gauge("service.jobs_in_flight", 0)
         self.metrics.set_gauge("service.queue_depth", 0)
-        self.metrics.set_gauge("service.core_budget", self._core_budget.total)
-        self.metrics.set_gauge("service.parallel_workers_per_job", workers_per_job)
 
     # -- internal --------------------------------------------------------------
 
@@ -309,10 +297,9 @@ class JobService:
         """A machine-readable live SLO/health report.
 
         One dict with queue depth and overload state, worker-pool
-        utilization, job counters, p50/p95/p99 latency summaries,
-        shared parallel-backend utilization/steal counters, a per-running-
-        job convergence snapshot (rate, ETA, stall/divergence flags) and
-        the most recent warning-level telemetry alerts. Works with
+        utilization, job counters, p50/p95/p99 latency summaries, a
+        per-running-job convergence snapshot (rate, ETA, stall/divergence
+        flags) and the most recent warning-level telemetry alerts. Works with
         telemetry disabled (jobs/alerts sections are then empty);
         :func:`repro.observability.health.render_status` renders the same
         dict as a ``repro status`` terminal frame.
@@ -349,23 +336,6 @@ class JobService:
                 }
             )
         jobs.sort(key=lambda j: j["job_id"] if j["job_id"] is not None else -1)
-        backends = []
-        for name, workers, registry in iter_shared_backends():
-            snapshot = registry.snapshot_all(include_histograms=False)
-            counters = snapshot["counters"]
-            utilization = registry.histogram("parallel.worker_utilization")
-            backends.append(
-                {
-                    "name": name,
-                    "workers": workers,
-                    "chunks_dispatched": counters.get("parallel.chunks.dispatched", 0),
-                    "chunks_completed": counters.get("parallel.chunks.completed", 0),
-                    "chunks_stolen": counters.get("parallel.chunks.stolen", 0),
-                    "inline_fallbacks": counters.get("parallel.inline_fallbacks", 0),
-                    "worker_respawns": counters.get("parallel.worker_respawns", 0),
-                    "utilization": utilization.mean if utilization else None,
-                }
-            )
         alerts: list[dict[str, Any]] = []
         if self.telemetry_log is not None:
             alerts = [
@@ -412,7 +382,6 @@ class JobService:
                 "attempt": _latency("service.attempt_seconds"),
                 "job": _latency("service.job_seconds"),
             },
-            "backends": backends,
             "jobs": jobs,
             "alerts": alerts,
             "telemetry": {

@@ -11,10 +11,11 @@ Endpoints (all JSON unless noted)::
     POST /api/v1/shutdown          graceful stop              -> 202
 
 Status codes carry the admission semantics: a descriptor the validator
-refuses is ``400``, a job the admission controller sheds or rejects is
-``429`` (back off and retry), a draining/closed service is ``503``, an
-unknown job id is ``404``, and asking for the result of a still-running
-job is ``409`` (poll again). The server is the stdlib
+refuses is ``400``, a body over :data:`MAX_BODY_BYTES` is ``413``, a job
+the admission controller sheds or rejects is ``429`` (back off and
+retry), a draining/closed service is ``503``, an unknown job id is
+``404``, and asking for the result of a still-running job is ``409``
+(poll again). The server is the stdlib
 :class:`http.server.ThreadingHTTPServer` — no framework, no
 dependencies — and the handler speaks to either backend through the same
 five-method surface: :class:`LocalBackend` wraps a single-process
@@ -36,6 +37,11 @@ from .api import JobService
 from .descriptor import JobDescriptor, result_record
 from .shard import ShardedJobService
 
+#: largest request body the front door reads; a descriptor is a few
+#: hundred bytes, and an unbounded ``Content-Length`` would make a handler
+#: buffer whatever the client claims.
+MAX_BODY_BYTES = 1 << 20
+
 
 class ResultNotReady(ServiceError):
     """The job exists but has not reached a terminal state yet (HTTP 409)."""
@@ -43,6 +49,10 @@ class ResultNotReady(ServiceError):
 
 class UnknownJob(ServiceError):
     """No job with that id was ever submitted here (HTTP 404)."""
+
+
+class BodyTooLarge(ConfigError):
+    """The request's ``Content-Length`` exceeds :data:`MAX_BODY_BYTES` (HTTP 413)."""
 
 
 class LocalBackend:
@@ -188,6 +198,13 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
             raise ConfigError(
                 f"Content-Length must be a non-negative integer, got {header!r}"
             )
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request either.
+            self.close_connection = True
+            raise BodyTooLarge(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         try:
             data = json.loads(raw.decode("utf-8"))
@@ -249,6 +266,8 @@ class FrontDoorHandler(BaseHTTPRequestHandler):
                 ).start()
             else:
                 self._error(404, f"no such route: POST {self.path}")
+        except BodyTooLarge as exc:
+            self._error(413, str(exc))
         except ConfigError as exc:
             self._error(400, str(exc))
         except AdmissionError as exc:

@@ -251,23 +251,19 @@ class JobSpec:
         attempt: int = 0,
         *,
         tracer: Tracer | None = None,
-        config: EngineConfig | None = None,
         telemetry: Any | None = None,
     ) -> IterationResult:
         """Run this spec exactly as a service worker would.
 
         This is the single execution path shared by the service and by
         standalone callers, which is what makes the service's results
-        provably bit-identical to single-run execution. ``config``
-        overrides the attempt's engine config; the supervisor uses it to
-        clamp ``parallel_workers`` to the service's core budget (a
-        wall-clock-only knob, so results stay identical). ``telemetry``
+        provably bit-identical to single-run execution. ``telemetry``
         is a :class:`repro.observability.telemetry.RunTelemetry` bundle —
         observational only, so telemetry on/off changes nothing either.
         """
         job = self.make_job()
         return job.run(
-            config=config if config is not None else self.config_for_attempt(attempt),
+            config=self.config_for_attempt(attempt),
             recovery=self.build_recovery(job),
             failures=self.failures,
             snapshots=SnapshotStore() if self.snapshots else None,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..algorithms.connected_components import connected_components
 from ..algorithms.pagerank import pagerank
-from ..config import PARALLEL_BACKENDS, RECOVERY_STRATEGIES, EngineConfig
+from ..config import RECOVERY_STRATEGIES, EngineConfig
 from ..errors import ConfigError
 from ..graph.generators import multi_component_graph, twitter_like_graph
 from ..runtime.failures import FailureSchedule
@@ -60,13 +60,6 @@ class WorkloadConfig:
             deterministically time out.
         backoff_base: retry backoff base of the generated specs (small,
             so workloads drain quickly in tests).
-        parallel_backend: intra-job execution backend stamped onto every
-            generated spec's :class:`repro.config.EngineConfig`;
-            ``None`` keeps the engine default. Results are
-            backend-independent, so the workload's per-job outputs stay
-            bit-identical either way.
-        parallel_workers: intra-job worker count for a parallel backend
-            (the service's core budget may clamp it further).
         tenants: tenant names jobs are assigned to round-robin (for the
             multi-tenant fairness experiments); empty (the default)
             leaves every spec on the ``"default"`` tenant.
@@ -85,8 +78,6 @@ class WorkloadConfig:
     infra_failures: int = 1
     deadline_timeouts: int = 1
     backoff_base: float = 0.01
-    parallel_backend: str | None = None
-    parallel_workers: int | None = None
     tenants: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -121,29 +112,8 @@ class WorkloadConfig:
                 f"graph_vertices must be a (lo, hi) range with 2 <= lo <= hi, "
                 f"got {self.graph_vertices}"
             )
-        if (
-            self.parallel_backend is not None
-            and self.parallel_backend not in PARALLEL_BACKENDS
-        ):
-            raise ConfigError(
-                f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
-                f"got {self.parallel_backend!r}"
-            )
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ConfigError(
-                f"parallel_workers must be >= 1, got {self.parallel_workers}"
-            )
         if any(not tenant for tenant in self.tenants):
             raise ConfigError("tenants must be non-empty names")
-
-    def engine_overrides(self) -> dict[str, object]:
-        """Per-job :class:`EngineConfig` kwargs for the parallel fields."""
-        overrides: dict[str, object] = {}
-        if self.parallel_backend is not None:
-            overrides["parallel_backend"] = self.parallel_backend
-        if self.parallel_workers is not None:
-            overrides["parallel_workers"] = self.parallel_workers
-        return overrides
 
 
 def _make_cc(graph):
@@ -190,7 +160,6 @@ def generate_workload(config: WorkloadConfig = WorkloadConfig()) -> list[JobSpec
     rng = random.Random(config.seed)
     specs: list[JobSpec] = []
     retry = RetryPolicy(max_retries=2, backoff_base=config.backoff_base, jitter=0.5)
-    overrides = config.engine_overrides()
     for index in range(config.num_jobs):
         is_view = rng.random() < config.view_refresh_fraction
         is_cc = rng.random() < config.cc_fraction
@@ -226,7 +195,6 @@ def generate_workload(config: WorkloadConfig = WorkloadConfig()) -> list[JobSpec
                 config=EngineConfig(
                     parallelism=config.parallelism,
                     spare_workers=config.parallelism,
-                    **overrides,
                 ),
                 recovery=config.recovery,
                 failures=failures,
@@ -249,9 +217,7 @@ def generate_workload(config: WorkloadConfig = WorkloadConfig()) -> list[JobSpec
         specs[target] = JobSpec(
             name=f"{spec.name}-infra",
             make_job=spec.make_job,
-            config=EngineConfig(
-                parallelism=config.parallelism, spare_workers=0, **overrides
-            ),
+            config=EngineConfig(parallelism=config.parallelism, spare_workers=0),
             recovery=spec.recovery,
             failures=spec.failures
             or FailureSchedule.single(1, [rng_forced.randrange(config.parallelism)]),

@@ -30,10 +30,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 from typing import Any, Callable
 
-from ..config import EngineConfig
 from ..errors import JobTimeoutError, RecoveryError, ReproError
 from ..observability.convergence import ConvergenceMonitor
 from ..observability.span import SpanKind
@@ -41,7 +39,6 @@ from ..observability.telemetry import RunTelemetry, TelemetryCollector
 from ..observability.telemetry_log import TelemetryLog
 from ..observability.tracer import NOOP_TRACER, RecordingTracer, Tracer
 from ..runtime.metrics import MetricsRegistry
-from ..runtime.parallel import default_parallel_workers
 from .job import JobHandle, JobState
 
 #: exception types classified as retryable infrastructure failures.
@@ -90,12 +87,6 @@ class JobSupervisor:
         metrics: the service-level registry ``service.*`` metrics land in.
         trace_jobs: record a per-attempt span tree on each handle.
         sleep: injectable sleep (tests replace it to skip real backoff).
-        max_parallel_workers: per-job intra-job worker grant from the
-            service's :class:`repro.runtime.parallel.CoreBudget`;
-            ``None`` leaves job configs untouched. Clamping changes
-            wall-clock scheduling only — results are backend- and
-            worker-count-independent — so clamped jobs remain
-            bit-identical to standalone runs.
         collector: optional :class:`TelemetryCollector` each attempt's
             per-run registry is registered with while it executes.
         telemetry_log: optional :class:`TelemetryLog` job lifecycle and
@@ -111,7 +102,6 @@ class JobSupervisor:
         metrics: MetricsRegistry | None = None,
         trace_jobs: bool = False,
         sleep: Callable[[JobHandle, float], None] | None = None,
-        max_parallel_workers: int | None = None,
         collector: TelemetryCollector | None = None,
         telemetry_log: TelemetryLog | None = None,
         stall_supersteps: int = 5,
@@ -119,7 +109,6 @@ class JobSupervisor:
     ):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.trace_jobs = trace_jobs
-        self.max_parallel_workers = max_parallel_workers
         self.collector = collector
         self.telemetry_log = telemetry_log
         self.stall_supersteps = stall_supersteps
@@ -178,25 +167,6 @@ class JobSupervisor:
                 job=handle.spec.name,
                 **details,
             )
-
-    def _clamp_parallel(self, config: EngineConfig) -> EngineConfig:
-        """Clamp a job's intra-job workers to the core-budget grant."""
-        limit = self.max_parallel_workers
-        if limit is None or config.parallel_backend == "serial":
-            return config
-        requested = (
-            config.parallel_workers
-            if config.parallel_workers is not None
-            else default_parallel_workers()
-        )
-        granted = min(requested, limit)
-        if granted == config.parallel_workers:
-            return config
-        if requested > granted:
-            self.metrics.increment(
-                "service.parallel_workers_clamped", requested - granted
-            )
-        return replace(config, parallel_workers=granted)
 
     @staticmethod
     def _interruptible_sleep(handle: JobHandle, delay: float) -> None:
@@ -268,7 +238,6 @@ class JobSupervisor:
                     result = spec.run_standalone(
                         attempt=attempt,
                         tracer=tracer,
-                        config=self._clamp_parallel(spec.config_for_attempt(attempt)),
                         telemetry=telemetry,
                     )
                     root_span.set_attribute("outcome", "completed")

@@ -334,9 +334,6 @@ class ConnectedComponentsView(ViewAlgorithm):
 
 
 # -- derived view: per-component rank mass -------------------------------------
-#
-# Operator UDFs live at module level so they pickle by reference and the
-# process execution backend can dispatch step-plan kernels to workers.
 
 
 def _component_rank(label: Any, rank: Any) -> Any:

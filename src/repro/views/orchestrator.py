@@ -24,7 +24,7 @@ source epoch). Each refresh:
 
 Determinism carries over from the engine: the same catalog, mutations
 and refresh decisions produce bit-identical materializations whether
-refreshes run standalone or through a service, on any execution backend.
+refreshes run standalone or through a service.
 """
 
 from __future__ import annotations

@@ -51,8 +51,7 @@ class ScenarioConfig:
         recovery: recovery strategy of the iterative views' refresh jobs.
         views: the orchestrator's :class:`repro.config.ViewsConfig`.
         engine_config: full engine configuration of the refresh jobs;
-            ``None`` (default) derives one from ``parallelism``. Lets
-            the CLI thread its backend overrides through.
+            ``None`` (default) derives one from ``parallelism``.
     """
 
     num_components: int = 4

@@ -123,85 +123,23 @@ class TestMain:
 
 
 class TestParallelFlags:
-    """--parallel-backend / --parallel-workers on run, serve and profile."""
-
-    def test_run_defaults_to_unset(self):
-        args = build_parser().parse_args([])
-        assert args.parallel_backend is None
-        assert args.parallel_workers is None
-
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_run_accepts_each_backend(self, capsys, backend):
-        code = main(
-            ["--fail", "2:0", "--parallel-backend", backend, "--parallel-workers", "2"]
-        )
-        assert code == 0
-        assert "converged" in capsys.readouterr().out
-
-    def test_backends_produce_identical_summaries(self, capsys):
-        argv = ["--algorithm", "pagerank", "--fail", "3:1"]
-        outputs = []
-        for backend in ("serial", "threads", "processes"):
-            assert main(argv + ["--parallel-backend", backend]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_invalid_backend_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--parallel-backend", "bogus"])
-        assert excinfo.value.code == 2
+    """The removed execution modes and their flags are usage errors."""
 
     def test_removed_modes_are_usage_errors(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--columnar"])
-        assert excinfo.value.code == 2
+        for argv in (
+            ["--columnar"],
+            ["--parallel-backend", "processes"],
+            ["--parallel-workers", "2"],
+            ["serve", "--jobs", "2", "--core-budget", "4"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
         capsys.readouterr()
         assert main(["--strategy", "lineage"]) == 2
         out = capsys.readouterr().out
         assert "unknown recovery strategy 'lineage'" in out
         assert "valid strategies are" in out
-
-    def test_non_positive_workers_exit_2(self, capsys):
-        assert main(["--parallel-workers", "0"]) == 2
-        assert "parallel_workers" in capsys.readouterr().out
-
-    def test_serve_accepts_parallel_and_core_budget(self, capsys):
-        code = main(
-            [
-                "serve",
-                "--jobs", "4",
-                "--pool", "2",
-                "--parallel-backend", "threads",
-                "--parallel-workers", "2",
-                "--core-budget", "4",
-            ]
-        )
-        assert code == 0
-        assert "job service report" not in capsys.readouterr().err
-
-    def test_serve_non_positive_workers_exit_2(self, capsys):
-        code = main(["serve", "--jobs", "2", "--parallel-workers", "-1"])
-        assert code == 2
-        assert "parallel_workers" in capsys.readouterr().out
-
-    def test_serve_bad_core_budget_exit_2(self, capsys):
-        code = main(["serve", "--jobs", "2", "--core-budget", "0"])
-        assert code == 2
-        assert "core" in capsys.readouterr().out
-
-    def test_profile_validates_workers(self, capsys):
-        code = main(["profile", "--parallel-workers", "0", "whatever.jsonl"])
-        assert code == 2
-        assert "parallel_workers" in capsys.readouterr().out
-
-    def test_profile_accepts_flags(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
-        assert main(
-            ["--algorithm", "pagerank", "--fail", "2:0", "--trace-out", str(trace)]
-        ) == 0
-        capsys.readouterr()
-        code = main(["profile", "--parallel-backend", "serial", str(trace)])
-        assert code == 0
 
 
 class TestServeTelemetryFlags:

@@ -82,12 +82,3 @@ class TestScenarioRuns:
         code = main(["views"] + SMALL + ["--epochs", "1"])
         assert code == 0
         assert "all views fresh" in capsys.readouterr().out
-
-    def test_parallel_backend_flag(self, capsys):
-        code, out = run(
-            SMALL
-            + ["--epochs", "1", "--parallel-backend", "threads", "--parallel-workers", "2"],
-            capsys,
-        )
-        assert code == 0
-        assert "all views fresh" in out

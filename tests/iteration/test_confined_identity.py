@@ -10,8 +10,7 @@ for each one we pin:
   (bit-identical for Connected Components' discrete labels, within the
   convergence tolerance for PageRank's floats);
 * one confined run is bit-identical — records, supersteps, simulated
-  time, cost breakdown — across all three parallel backends and across
-  execution-cache transparent/off.
+  time, cost breakdown — across execution-cache transparent/off.
 """
 
 import pytest
@@ -52,14 +51,8 @@ SETTINGS = settings(
 )
 
 
-def _config(backend="serial", cache="transparent"):
-    return EngineConfig(
-        parallelism=PARALLELISM,
-        spare_workers=8,
-        parallel_backend=backend,
-        parallel_workers=3,
-        execution_cache=cache,
-    )
+def _config(cache="transparent"):
+    return EngineConfig(parallelism=PARALLELISM, spare_workers=8, execution_cache=cache)
 
 
 def _cc_job():
@@ -133,21 +126,15 @@ def test_pagerank_confined_and_optimistic_share_the_fixpoint(events):
 
 @SETTINGS
 @given(events=failure_schedules)
-def test_confined_bit_identical_across_backends_and_cache_modes(events):
+def test_confined_bit_identical_across_cache_modes(events):
     schedule = FailureSchedule.at(*events)
 
-    def run(backend, cache):
+    def run(cache):
         return _cc_job().run(
-            config=_config(backend, cache),
-            recovery=ConfinedRecovery(),
-            failures=schedule,
+            config=_config(cache), recovery=ConfinedRecovery(), failures=schedule
         )
 
-    baseline = _fingerprint(run("serial", "transparent"))
-    for backend in ("threads", "processes"):
-        assert _fingerprint(run(backend, "transparent")) == baseline
-    assert _fingerprint(run("serial", "off")) == baseline
-    assert _fingerprint(run("threads", "off")) == baseline
+    assert _fingerprint(run("transparent")) == _fingerprint(run("off"))
 
 
 @SETTINGS

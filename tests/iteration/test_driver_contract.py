@@ -1,10 +1,9 @@
 """The superstep driver's contract with the recovery SPI, in both modes.
 
-A spy strategy records every SPI call — and, by wrapping them in
-``on_start``, the driver's execution-cache invalidation and resident
-release — on one toy bulk job and one toy delta job. On the failed
-superstep the cache is invalidated and residents are released, then
-``recover`` sees the lost partitions as ``None`` while the context carries
+A spy strategy records every SPI call — and, by wrapping it in
+``on_start``, the driver's execution-cache invalidation — on one toy bulk
+job and one toy delta job. On the failed superstep the cache is
+invalidated, then ``recover`` sees the lost partitions as ``None`` while the context carries
 the complete pre-loss contents of exactly those partitions
 (``ctx.destroyed_state`` / ``ctx.destroyed_workset``) — and no longer
 carries them once ``recover`` returned; ``on_superstep_committed`` is not
@@ -69,7 +68,6 @@ class SpyRecovery(RecoveryStrategy):
     def on_start(self, ctx):
         self.calls.append("on_start")
         self.ctx = ctx
-        self._wrap(ctx.executor, "release_residents")
         if ctx.execution_cache is not None:
             self._wrap(ctx.execution_cache, "invalidate")
 
@@ -174,13 +172,10 @@ def test_spi_order_on_a_failed_superstep(mode):
         "on_start",
         *before,
         "invalidate",
-        "release_residents",
         f"recover:{FAILED_SUPERSTEP}",
         *after,
     ]
-    assert recovery.calls[: len(expected)] == expected
-    # Only the end-of-run resident release may follow the last commit.
-    assert recovery.calls[len(expected) :] in ([], ["release_residents"])
+    assert recovery.calls == expected
     assert termination.consulted == committed
 
 

@@ -3,7 +3,7 @@
 The drivers accept a :class:`~repro.observability.telemetry.RunTelemetry`
 bundle and feed it per-superstep stats plus engine events. None of that
 may touch the simulated clock, the RNG or the record state — for every
-recovery strategy and across backends, a run with full telemetry attached
+recovery strategy, a run with full telemetry attached
 must produce exactly the fingerprint of a bare run. These tests also pin
 the positive side: the series the drivers push and the engine events the
 bundle forwards actually arrive, correlated with (job_id, attempt).
@@ -34,13 +34,8 @@ def _strategy(job, name):
     }[name]()
 
 
-def _config(backend="serial"):
-    return EngineConfig(
-        parallelism=4,
-        spare_workers=8,
-        parallel_backend=backend,
-        parallel_workers=3,
-    )
+def _config():
+    return EngineConfig(parallelism=4, spare_workers=8)
 
 
 def _fingerprint(result):
@@ -64,20 +59,20 @@ def _telemetry(job_name, job_id=1, attempt=0):
     )
 
 
-def _run_pagerank(recovery_name, backend="serial", telemetry=None):
+def _run_pagerank(recovery_name, telemetry=None):
     job = pagerank(twitter_like_graph(60, seed=11), epsilon=1e-3)
     return job.run(
-        config=_config(backend),
+        config=_config(),
         recovery=_strategy(job, recovery_name),
         failures=FailureSchedule.single(3, [1]),
         telemetry=telemetry,
     )
 
 
-def _run_cc(recovery_name, backend="serial", telemetry=None):
+def _run_cc(recovery_name, telemetry=None):
     job = connected_components(multi_component_graph(3, 12, seed=5))
     return job.run(
-        config=_config(backend),
+        config=_config(),
         recovery=_strategy(job, recovery_name),
         failures=FailureSchedule.single(2, [0, 2]),
         telemetry=telemetry,
@@ -97,14 +92,6 @@ class TestBitIdentity:
     def test_connected_components_identical_with_telemetry(self, recovery_name):
         bare = _fingerprint(_run_cc(recovery_name))
         instrumented = _fingerprint(_run_cc(recovery_name, telemetry=_telemetry("cc")))
-        assert instrumented == bare
-
-    @pytest.mark.parametrize("backend", ("serial", "threads"))
-    def test_identity_holds_on_parallel_backends(self, backend):
-        bare = _fingerprint(_run_pagerank("optimistic", backend=backend))
-        instrumented = _fingerprint(
-            _run_pagerank("optimistic", backend=backend, telemetry=_telemetry("pr"))
-        )
         assert instrumented == bare
 
 

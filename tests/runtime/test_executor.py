@@ -1,7 +1,7 @@
 """Tests for PartitionedDataset and PlanExecutor."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.datatypes import KeySpec, first_field
@@ -377,6 +377,37 @@ def test_reduce_by_key_result_independent_of_parallelism(records, parallelism):
     assert sorted(out["sum"].all_records()) == sorted(expected.items())
 
 
+_field = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+    st.booleans(),
+    st.none(),
+)
+_ragged_record = st.one_of(*(st.tuples(*[_field] * width) for width in (1, 2, 3, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(st.lists(_ragged_record, max_size=8), min_size=n, max_size=n)
+    )
+)
+def test_repartition_places_like_from_records_in_source_order(partitions):
+    """The shuffle routes every record to the partition ``from_records``
+    would hash it to, keeps source order within each target partition,
+    and leaves a dataset already placed by the key untouched."""
+    parallelism = len(partitions)
+    executor = PlanExecutor(parallelism)
+    records = [record for part in partitions for record in part]
+    placed = executor.repartition(PartitionedDataset(partitions=partitions), KEY)
+    expected = PartitionedDataset.from_records(records, parallelism, key=KEY)
+    assert placed.partitions == expected.partitions
+    assert placed.partitioned_by == KEY
+    assert executor.metrics.get("shuffled.repartition") == len(records)
+    assert executor.repartition(placed, KEY) is placed
+
+
 class TestLostPartitionGuards:
     """Executing over lost partitions must always raise PartitionLostError,
     never a raw TypeError from iterating ``None``."""
@@ -416,6 +447,19 @@ class TestLostPartitionGuards:
         with pytest.raises(PartitionLostError) as exc:
             executor._run_union(op, [complete, self._lost_dataset()])
         assert exc.value.partition_ids == (1,)
+
+    def test_kernel_error_surfaces_with_payload(self):
+        def lose_on_five(record):
+            if record[0] == 5:
+                raise PartitionLostError([5])
+            return record
+
+        plan = Plan("p")
+        plan.source("in").map(lose_on_five, name="copy")
+        data = PartitionedDataset.from_records([(i, i) for i in range(8)], 4)
+        with pytest.raises(PartitionLostError) as exc:
+            PlanExecutor(4).execute(plan, {"in": data}, outputs=["copy"])
+        assert exc.value.partition_ids == (5,)
 
     def test_plan_execution_over_lost_source_raises(self):
         plan = Plan("p")

@@ -73,25 +73,6 @@ class TestHealthShape:
             assert health["telemetry"]["series"] > 0
             assert health["telemetry"]["events"] > 0
 
-    def test_backends_section_reports_shared_pools(self):
-        spec = cc_spec(
-            config=EngineConfig(
-                parallelism=4,
-                spare_workers=4,
-                parallel_backend="threads",
-                parallel_workers=2,
-            )
-        )
-        with service() as svc:
-            svc.run_all([spec])
-            health = svc.health()
-        assert any(b["name"] == "threads" for b in health["backends"])
-        threads = next(b for b in health["backends"] if b["name"] == "threads")
-        assert threads["workers"] >= 1
-        # Tiny partitions may run inline, so only the invariant holds:
-        # nothing dispatched is ever lost.
-        assert threads["chunks_completed"] == threads["chunks_dispatched"]
-
     def test_running_job_appears_with_convergence_snapshot(self):
         release = threading.Event()
         started = threading.Event()

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -120,6 +121,22 @@ class TestLocalBackendRoutes:
             assert "Content-Length" in json.loads(response.read())["error"]
         finally:
             conn.close()
+        code, _ = request(front_door, "GET", "/api/v1/health")
+        assert code == 200
+
+    def test_oversized_body_is_413_without_reading_it(self, front_door):
+        host, port = front_door.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=2.0) as sock:
+            # Headers only: a server that tries to read the claimed body
+            # blocks until the timeout instead of answering.
+            sock.sendall(
+                b"POST /api/v1/jobs HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 10000000000\r\n\r\n"
+            )
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"413"
         code, _ = request(front_door, "GET", "/api/v1/health")
         assert code == 200
 

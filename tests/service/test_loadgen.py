@@ -148,29 +148,6 @@ class TestAcceptanceWorkload:
             assert handle.trace_roots[0].attributes["job_id"] == handle.job_id
 
 
-class TestParallelWorkload:
-    def test_parallel_fields_stamp_every_spec(self):
-        config = WorkloadConfig(
-            num_jobs=6, parallel_backend="threads", parallel_workers=2
-        )
-        for spec in generate_workload(config):
-            assert spec.config.parallel_backend == "threads"
-            assert spec.config.parallel_workers == 2
-
-    def test_unset_parallel_fields_keep_engine_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
-        for spec in generate_workload(WorkloadConfig(num_jobs=4)):
-            assert spec.config.parallel_backend == "serial"
-
-    def test_bad_parallel_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            WorkloadConfig(parallel_backend="gpu")
-
-    def test_bad_parallel_workers_rejected(self):
-        with pytest.raises(ConfigError):
-            WorkloadConfig(parallel_workers=0)
-
-
 class TestViewRefreshJobs:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ConfigError):

@@ -91,50 +91,3 @@ class TestErrorHierarchy:
         error = PartitionLostError([3, 1])
         assert error.partition_ids == (1, 3)
         assert issubclass(PartitionLostError, ExecutionError)
-
-
-class TestParallelConfig:
-    def test_default_backend_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_PARALLEL_WORKERS", raising=False)
-        config = EngineConfig()
-        assert config.parallel_backend == "serial"
-        assert config.parallel_workers is None
-
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
-        config = EngineConfig()
-        assert config.parallel_backend == "threads"
-        assert config.parallel_workers == 3
-
-    def test_env_bad_workers_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            EngineConfig()
-
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
-        config = EngineConfig(parallel_backend="processes")
-        assert config.parallel_backend == "processes"
-
-    def test_backend_validation(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(parallel_backend="gpu")
-
-    def test_workers_validation(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(parallel_workers=0)
-
-    def test_with_parallel(self):
-        config = EngineConfig().with_parallel("processes", workers=4)
-        assert config.parallel_backend == "processes"
-        assert config.parallel_workers == 4
-
-    def test_service_core_budget_validation(self):
-        from repro.config import ServiceConfig
-
-        assert ServiceConfig(core_budget=4).core_budget == 4
-        assert ServiceConfig().core_budget is None
-        with pytest.raises(ConfigError):
-            ServiceConfig(core_budget=0)

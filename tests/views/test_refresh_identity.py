@@ -3,8 +3,7 @@
 The tentpole guarantee of :mod:`repro.views` — a warm refresh (seeded
 from the previous fixpoint, workset shrunk to the affected keys) must
 materialize *exactly* the records a cold recompute of the same source
-epoch would, for every view, on every execution backend, under every
-recovery strategy, and with failures injected *during* the refresh.
+epoch would, for every view, under every recovery strategy, and with failures injected *during* the refresh.
 These tests drive the same seeded mutation stream twice (once forced
 warm, once forced cold) and compare the installed records epoch by
 epoch, then check warm actually saves supersteps where it should.
@@ -12,7 +11,7 @@ epoch, then check warm actually saves supersteps where it should.
 
 import pytest
 
-from repro.config import EngineConfig, ViewsConfig
+from repro.config import ViewsConfig
 from repro.runtime import FailureSchedule
 from repro.views import ScenarioConfig, run_scenario
 
@@ -20,7 +19,7 @@ VIEWS = ("cc-labels", "ranks", "component-mass")
 EPOCHS = 3
 
 
-def scenario(refresh_mode, *, backend="serial", recovery="optimistic", seed=7):
+def scenario(refresh_mode, *, recovery="optimistic", seed=7):
     return ScenarioConfig(
         num_components=3,
         component_size=8,
@@ -29,9 +28,6 @@ def scenario(refresh_mode, *, backend="serial", recovery="optimistic", seed=7):
         removal_fraction=0.3,
         recovery=recovery,
         views=ViewsConfig(refresh_mode=refresh_mode),
-        engine_config=EngineConfig(
-            parallelism=4, parallel_backend=backend, parallel_workers=2
-        ),
     )
 
 
@@ -70,12 +66,6 @@ def assert_identical(warm_config, cold_config, **run_kwargs):
 
 
 class TestWarmColdIdentity:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_identical_across_backends(self, backend):
-        assert_identical(
-            scenario("warm", backend=backend), scenario("cold", backend=backend)
-        )
-
     @pytest.mark.parametrize("recovery", ["restart", "optimistic", "confined"])
     def test_identical_across_recovery_strategies(self, recovery):
         assert_identical(
@@ -85,12 +75,6 @@ class TestWarmColdIdentity:
     @pytest.mark.parametrize("seed", [3, 11, 42])
     def test_identical_across_mutation_streams(self, seed):
         assert_identical(scenario("warm", seed=seed), scenario("cold", seed=seed))
-
-    def test_warm_equals_cold_on_different_backends(self):
-        """Backend independence and warm/cold independence compose."""
-        assert_identical(
-            scenario("warm", backend="threads"), scenario("cold", backend="serial")
-        )
 
     def test_auto_mode_matches_cold(self):
         assert_identical(scenario("auto"), scenario("cold"))
