@@ -1,8 +1,15 @@
 """Absolute pin of the superstep driver's observable behaviour.
 
-``golden_fingerprint.json`` was generated at the last commit that still
-had two hand-written driver loops (``iteration/bulk.py`` and
-``iteration/delta.py`` before the unified ``iteration/driver.py``). Every
+``golden_fingerprint.json`` was first generated at the last commit that
+still had two hand-written driver loops (``iteration/bulk.py`` and
+``iteration/delta.py`` before the unified ``iteration/driver.py``). It
+was regenerated once since, when the simulated clock became a count
+ledger (``runtime/clock.py``): simulated time is now a fixed-order dot
+product of integer counts with the cost model instead of a float summed
+charge by charge, so the last bits of every simulated-time value moved
+(at most 5e-15 relative; ``sim_duration`` differences up to 1.3e-11).
+Only the ``sim_time`` reprs, the time fields of ``stats`` and
+``events_sha256`` changed; everything else was pinned unchanged. Every
 cell — PageRank (bulk) and Connected Components (delta) × the six
 registry strategies × {failure-free, a two-failure schedule, one failure
 at superstep 0 before anything was persisted} — records what a run may
