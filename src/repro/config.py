@@ -9,8 +9,9 @@ without aliasing surprises.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
@@ -67,21 +68,16 @@ class CostModel:
     log_per_record: float = 2.5e-7
     replay_per_record: float = 1.0e-6
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        for name in (
-            "cpu_per_record",
-            "network_per_record",
-            "checkpoint_per_record",
-            "restore_per_record",
-            "failure_detection",
-            "worker_acquisition",
-            "compensation_per_record",
-            "log_per_record",
-            "replay_per_record",
-        ):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"cost model field {name!r} must be >= 0, got {value}")
+        for constant in fields(self):
+            value = getattr(self, constant.name)
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(
+                    f"cost model field {constant.name!r} must be finite and >= 0, got {value}"
+                )
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,6 @@ class EngineConfig:
             raise ConfigError(
                 f"event_log_capacity must be >= 1 or None, got {self.event_log_capacity}"
             )
-        self.cost_model.validate()
 
     @property
     def active_workers(self) -> int:

@@ -24,11 +24,13 @@ advance exactly as they would with ``EngineConfig.execution_cache`` set
 to ``"off"`` (no cache is built), so all archived figures and benchmark
 baselines reproduce exactly either way.
 
-How transparency is achieved: the first (miss) execution of a cacheable
-operator runs with the executor's clock and metrics wrapped in recording
-proxies that forward every charge and log it; a hit replays the logged
-``advance`` calls in their original order with their original float
-amounts, which accumulates bit-identically to re-execution.
+How transparency is achieved: simulated time is a count ledger (see
+:mod:`repro.runtime.clock`), so the first (miss) execution of a cacheable
+operator snapshots the clock's counts before and after and keeps the
+difference; a hit adds that count vector back in one call. Integer counts
+commute, so the replayed clock equals re-execution exactly. Metric
+writes and message-log deliveries still go through recording proxies
+that forward each call and log it, and a hit replays them in order.
 
 Failure handling: cached results model data resident on workers. When
 workers fail and partitions are re-assigned, the driver calls
@@ -45,6 +47,7 @@ breakdowns for ``output`` / ``shuffle`` / ``build``) through the run's
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
@@ -52,7 +55,7 @@ from ..dataflow.datatypes import KeySpec
 from ..dataflow.invariants import InvariantAnalysis
 from ..dataflow.operators import Operator, SourceOperator
 from ..errors import ExecutionError
-from .clock import CostCategory, SimulatedClock
+from .clock import LEDGER, SimulatedClock
 from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:
@@ -66,16 +69,15 @@ EXECUTION_CACHE_MODES = ("off", "transparent")
 class ChargeLog:
     """The simulated charges one cached execution made on its miss.
 
-    Replaying the log re-applies the exact sequence of clock advances
-    (same float amounts, same order — so account totals accumulate
-    bit-identically to re-execution) and metric operations.
+    Replaying the log adds the recorded clock counts back in one call and
+    re-applies the metric operations in their original order.
     """
 
-    __slots__ = ("advances", "increments", "observations", "deliveries")
+    __slots__ = ("counts", "increments", "observations", "deliveries")
 
     def __init__(self) -> None:
-        #: ``(seconds, category)`` clock advances, in charge order.
-        self.advances: list[tuple[float, CostCategory]] = []
+        #: the clock counts the miss added, one per ledger slot.
+        self.counts: tuple[int, ...] = (0,) * len(LEDGER)
         #: ``(counter name, amount)`` increments, in order.
         self.increments: list[tuple[str, int]] = []
         #: ``(histogram name, value)`` observations, in order.
@@ -94,8 +96,7 @@ class ChargeLog:
         """Re-apply the log. When a ``message_log`` is passed (confined
         recovery active), recorded deliveries are re-delivered so the
         log's contents stay bit-identical to a cache-off run."""
-        for seconds, category in self.advances:
-            clock.advance(seconds, category)
+        clock.add(self.counts)
         for name, amount in self.increments:
             metrics.increment(name, amount)
         for name, value in self.observations:
@@ -103,43 +104,6 @@ class ChargeLog:
         if message_log is not None:
             for sizes, local in self.deliveries:
                 message_log.deliver(sizes, local=local)
-
-
-class _RecordingClock:
-    """Forwards every charge to the real clock while logging it.
-
-    Implements the :class:`~repro.runtime.clock.SimulatedClock` surface
-    the executor touches; anything else falls through to the real clock
-    un-logged (nothing in the executor's operator paths does).
-    """
-
-    def __init__(self, clock: SimulatedClock, log: ChargeLog):
-        self._clock = clock
-        self._log = log
-
-    @property
-    def now(self) -> float:
-        return self._clock.now
-
-    @property
-    def cost_model(self):
-        return self._clock.cost_model
-
-    def advance(self, seconds: float, category: CostCategory = CostCategory.COMPUTE) -> float:
-        self._log.advances.append((seconds, category))
-        return self._clock.advance(seconds, category)
-
-    def charge_compute(self, records: int) -> None:
-        self.advance(records * self._clock.cost_model.cpu_per_record, CostCategory.COMPUTE)
-
-    def charge_network(self, records: int) -> None:
-        self.advance(records * self._clock.cost_model.network_per_record, CostCategory.NETWORK)
-
-    def charge_log(self, records: int) -> None:
-        self.advance(records * self._clock.cost_model.log_per_record, CostCategory.LOG_IO)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._clock, name)
 
 
 class _RecordingMetrics:
@@ -248,25 +212,28 @@ class SuperstepExecutionCache:
 
     @contextmanager
     def recording(self, executor: "PlanExecutor") -> Iterator[ChargeLog]:
-        """Swap the executor's clock/metrics for recording proxies.
+        """Record the clock counts the body adds, and swap the executor's
+        metrics and message log for recording proxies.
 
         Nesting is safe: an inner recording wraps the outer proxy, so the
-        outer log still sees every charge (an invariant operator whose
-        execution consults the shuffle memo records the shuffle charges
-        in both logs, and each log replays correctly on its own path).
+        outer log still sees every metric write, and the outer count
+        difference includes whatever an inner miss charged or an inner hit
+        added (an invariant operator whose execution consults the shuffle
+        memo records the shuffle charges in both logs, and each log
+        replays correctly on its own path).
         """
         log = ChargeLog()
-        saved_clock, saved_metrics = executor.clock, executor.metrics
-        saved_message_log = executor.message_log
-        executor.clock = _RecordingClock(saved_clock, log)  # type: ignore[assignment]
+        clock = executor.clock
+        before = clock.counts()
+        saved_metrics, saved_message_log = executor.metrics, executor.message_log
         executor.metrics = _RecordingMetrics(saved_metrics, log)  # type: ignore[assignment]
         if saved_message_log is not None:
             executor.message_log = _RecordingMessageLog(saved_message_log, log)
         try:
             yield log
         finally:
-            executor.clock, executor.metrics = saved_clock, saved_metrics
-            executor.message_log = saved_message_log
+            executor.metrics, executor.message_log = saved_metrics, saved_message_log
+            log.counts = tuple(map(operator.sub, clock.counts(), before))
 
     # -- operator outputs --------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Tests for the no-op and recording tracers."""
 
+from repro.config import CostModel
 from repro.observability.span import SpanKind
 from repro.observability.tracer import NOOP_TRACER, NoopTracer, RecordingTracer, Tracer
 from repro.runtime.clock import SimulatedClock
@@ -51,12 +52,12 @@ class TestRecordingTracer:
         assert len(ids) == len(set(ids))
 
     def test_sim_times_come_from_the_bound_clock(self):
-        clock = SimulatedClock()
+        clock = SimulatedClock(CostModel(cpu_per_record=0.5))
         tracer = RecordingTracer()
         tracer.bind(clock)
-        clock.advance(1.0)
+        clock.charge_compute(2)
         with tracer.span("work") as span:
-            clock.advance(2.5)
+            clock.charge_compute(5)
         assert span.sim_start == 1.0
         assert span.sim_end == 3.5
         assert span.sim_duration == 2.5

@@ -13,7 +13,7 @@ from repro.dataflow.invariants import analyze_invariants
 from repro.dataflow.plan import Plan
 from repro.errors import ExecutionError
 from repro.runtime.cache import ChargeLog, SuperstepExecutionCache
-from repro.runtime.clock import SimulatedClock
+from repro.runtime.clock import LEDGER, SimulatedClock
 from repro.runtime.executor import PartitionedDataset, PlanExecutor
 from repro.runtime.metrics import MetricsRegistry
 
@@ -198,7 +198,7 @@ class TestGuards:
 
 
 class TestChargeLog:
-    def test_replay_reapplies_in_order(self):
+    def test_replay_adds_the_recorded_count_vector(self):
         clock = SimulatedClock()
         metrics = MetricsRegistry()
         plan = _chain_plan()
@@ -206,10 +206,24 @@ class TestChargeLog:
         cache = _cache(plan)
         with cache.recording(executor) as log:
             executor.clock.charge_compute(10)
+            executor.clock.charge_network(4)
             executor.metrics.increment("x", 3)
             executor.metrics.observe("h", 1.5)
         assert isinstance(log, ChargeLog)
-        assert len(log.advances) == 1
+        assert log.counts == executor.clock.counts() == (10, 4) + (0,) * (len(LEDGER) - 2)
+        clock.charge_compute(1)
         log.replay(clock, metrics)
-        assert clock.now == executor.clock.now
+        assert clock.counts() == (11, 4) + (0,) * (len(LEDGER) - 2)
         assert metrics.get("x") == 3
+
+    def test_outer_recording_counts_inner_misses_and_hits(self):
+        plan = _chain_plan()
+        executor = PlanExecutor(PARALLELISM)
+        cache = _cache(plan)
+        with cache.recording(executor) as outer:
+            executor.clock.charge_compute(1)
+            with cache.recording(executor) as inner:
+                executor.clock.charge_network(4)
+            inner.replay(executor.clock, executor.metrics)
+        assert inner.counts == (0, 4) + (0,) * (len(LEDGER) - 2)
+        assert outer.counts == (1, 8) + (0,) * (len(LEDGER) - 2)

@@ -1,5 +1,7 @@
 """Tests for engine configuration and the error hierarchy."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG, CostModel, EngineConfig
@@ -32,8 +34,9 @@ class TestEngineConfig:
             EngineConfig(spare_workers=-1)
 
     def test_cost_model_validation(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(cost_model=CostModel(cpu_per_record=-1.0))
+        for value in (-1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                EngineConfig(cost_model=CostModel(cpu_per_record=value))
 
     def test_with_parallelism(self):
         config = EngineConfig(parallelism=2).with_parallelism(8)
@@ -50,17 +53,11 @@ class TestEngineConfig:
 
 class TestCostModel:
     def test_every_field_validated(self):
-        for field in (
-            "cpu_per_record",
-            "network_per_record",
-            "checkpoint_per_record",
-            "restore_per_record",
-            "failure_detection",
-            "worker_acquisition",
-            "compensation_per_record",
-        ):
-            with pytest.raises(ConfigError):
-                CostModel(**{field: -0.5}).validate()
+        # at construction, and NaN too: it compares false with 0
+        for field in fields(CostModel):
+            for value in (-0.5, float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ConfigError):
+                    CostModel(**{field.name: value})
 
     def test_zero_costs_allowed(self):
         CostModel(cpu_per_record=0.0).validate()
