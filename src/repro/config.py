@@ -105,14 +105,6 @@ class EngineConfig:
         strict_iterations: when True, exceeding ``max_supersteps`` without
             convergence raises :class:`repro.errors.TerminationError`
             instead of returning the best-effort state.
-        execution_cache: superstep execution cache mode.
-            ``"transparent"`` (default) serves loop-invariant operator
-            outputs, static shuffle placements and static join/co-group
-            build indexes from a per-run cache, skipping the redundant
-            wall-clock work while replaying bit-identical simulated
-            charges — every archived figure and benchmark baseline still
-            reproduces exactly. ``"off"`` disables the cache and
-            re-executes the full step plan every superstep.
         recovery: default recovery strategy name for drivers that were
             not handed an explicit strategy object (one of
             ``RECOVERY_STRATEGIES``, or ``None`` for the historical
@@ -138,7 +130,6 @@ class EngineConfig:
     combiners: bool = False
     seed: int = 42
     strict_iterations: bool = False
-    execution_cache: str = "transparent"
     recovery: str | None = None
     event_log_capacity: int | None = None
 
@@ -155,11 +146,6 @@ class EngineConfig:
             raise ConfigError(
                 f"parallelism ({self.parallelism}) must be divisible by "
                 f"partitions_per_worker ({self.partitions_per_worker})"
-            )
-        if self.execution_cache not in ("off", "transparent"):
-            raise ConfigError(
-                f"execution_cache must be 'off' or 'transparent', "
-                f"got {self.execution_cache!r}"
             )
         if self.recovery is not None and self.recovery not in RECOVERY_STRATEGIES:
             raise ConfigError(
@@ -183,10 +169,6 @@ class EngineConfig:
     def with_spares(self, spare_workers: int) -> "EngineConfig":
         """Return a copy with a different spare-worker pool size."""
         return replace(self, spare_workers=spare_workers)
-
-    def with_execution_cache(self, execution_cache: str) -> "EngineConfig":
-        """Return a copy with a different execution-cache mode."""
-        return replace(self, execution_cache=execution_cache)
 
     def with_recovery(self, recovery: str | None) -> "EngineConfig":
         """Return a copy with a different default recovery strategy name."""

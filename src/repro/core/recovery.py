@@ -36,7 +36,6 @@ from ..runtime.executor import PartitionedDataset, PlanExecutor
 from ..runtime.storage import StableStorage
 
 if TYPE_CHECKING:
-    from ..runtime.cache import SuperstepExecutionCache
     from ..runtime.state import KeyedStateBackend
 
 
@@ -62,12 +61,6 @@ class RecoveryContext:
         state_backend: the delta iteration's solution-set backend
             (``None`` for bulk iterations) — incremental checkpointing
             drains its per-commit change log.
-        execution_cache: the run's superstep execution cache, when one is
-            enabled. The driver invalidates it on every failure (cached
-            partitions lived on the failed workers); strategies whose
-            repair work re-places static data may additionally call
-            :meth:`~repro.runtime.cache.SuperstepExecutionCache.invalidate`
-            themselves if they disturb placements outside the lost set.
         destroyed_state: ``{partition id: records}`` of exactly the
             partitions a failure destroyed, set by the driver for the
             duration of one :meth:`RecoveryStrategy.recover` call — the
@@ -85,7 +78,6 @@ class RecoveryContext:
     initial_state: PartitionedDataset | None = None
     initial_workset: PartitionedDataset | None = None
     state_backend: "KeyedStateBackend | None" = None
-    execution_cache: "SuperstepExecutionCache | None" = None
     destroyed_state: dict[int, list[Any]] | None = None
     destroyed_workset: dict[int, list[Any]] | None = None
 

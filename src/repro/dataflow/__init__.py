@@ -22,7 +22,6 @@ from .functions import (
     MapFunction,
     ReduceFunction,
 )
-from .invariants import InvariantAnalysis, analyze_invariants
 from .operators import (
     CoGroupOperator,
     CrossOperator,
@@ -51,7 +50,6 @@ __all__ = [
     "FlatMapFunction",
     "FlatMapOperator",
     "GroupReduceOperator",
-    "InvariantAnalysis",
     "JoinFunction",
     "JoinOperator",
     "KeySpec",
@@ -63,7 +61,6 @@ __all__ = [
     "ReduceFunction",
     "SourceOperator",
     "UnionOperator",
-    "analyze_invariants",
     "first_field",
     "fuse_chains",
     "optimize",

@@ -134,14 +134,13 @@ class _BulkLoop(StepPlugin):
         self.state = initial_state.copy()
         return initial_state, None, None
 
-    def step(self, statics, cache, stats: IterationStats) -> None:
+    def step(self, statics, stats: IterationStats) -> None:
         spec = self.spec
         previous = self.state.all_records() if self._track_updates else None
         outputs = self.runtime.executor.execute(
             spec.step_plan,
             {spec.state_source: self.state, **statics},
             outputs=[spec.next_state_output],
-            cache=cache,
         )
         self.state = self._repartition(outputs[spec.next_state_output], "state")
         # One materialization pass per superstep, shared by update

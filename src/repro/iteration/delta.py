@@ -142,7 +142,7 @@ class _DeltaLoop(StepPlugin):
         self.runtime.metrics.observe("workset_size", entering_workset)
         return {"workset_size": entering_workset}
 
-    def step(self, statics, cache, stats: IterationStats) -> None:
+    def step(self, statics, stats: IterationStats) -> None:
         spec = self.spec
         outputs = self.runtime.executor.execute(
             spec.step_plan,
@@ -152,7 +152,6 @@ class _DeltaLoop(StepPlugin):
                 **statics,
             },
             outputs=[spec.delta_output, spec.workset_output],
-            cache=cache,
         )
         delta = self._repartition(outputs[spec.delta_output], "delta")
         self.workset = self._repartition(outputs[spec.workset_output], "workset")

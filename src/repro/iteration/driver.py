@@ -19,7 +19,7 @@ per-run loop state of one mode (:mod:`repro.iteration.bulk` and
   ``(state, workset, state_backend)``;
 * ``begin()`` — called as a superstep opens; returns mode-specific
   attributes its span opens with;
-* ``step(statics, cache, stats)`` — execute the step plan, make its result
+* ``step(statics, stats)`` — execute the step plan, make its result
   the current state, fill ``stats.updates`` / ``stats.l1_delta``;
 * ``view()`` — the ``(state, workset)`` pair handed to the recovery SPI;
 * ``lose(lost)`` / ``install(outcome, recovery)`` — destroy partitions of
@@ -41,12 +41,10 @@ from ..config import EngineConfig
 from ..core.recovery import RecoveryContext, RecoveryOutcome, RecoveryStrategy
 from ..core.restart import RestartRecovery
 from ..core.strategies import resolve_recovery
-from ..dataflow.invariants import analyze_invariants
 from ..errors import TerminationError
 from ..observability.span import SpanKind
 from ..observability.telemetry import RunTelemetry
 from ..observability.tracer import NOOP_TRACER, Tracer
-from ..runtime.cache import SuperstepExecutionCache
 from ..runtime.events import EventKind
 from ..runtime.executor import PartitionedDataset
 from ..runtime.failures import FailureEvent, FailureSchedule
@@ -117,10 +115,6 @@ def _fail_and_recover(
     )
     loop.lose(lost)
     ctx.cluster.reassign_lost(superstep)
-    if ctx.execution_cache is not None:
-        # Cached partitions lived on the failed workers; recovery must
-        # recompute them.
-        ctx.execution_cache.invalidate(lost)
     outcome = recovery.recover(ctx, superstep, *loop.view(), lost)
     ctx.destroyed_state = ctx.destroyed_workset = None
     loop.install(outcome, recovery)
@@ -173,11 +167,6 @@ def run_supersteps(
             spec.step_plan, dict(statics or {}), loop.dynamic_sources, config.parallelism
         )
         initial_state, initial_workset, state_backend = loop.start(runtime)
-        cache: SuperstepExecutionCache | None = None
-        if config.execution_cache != "off":
-            cache = SuperstepExecutionCache(
-                analyze_invariants(spec.step_plan, loop.dynamic_sources), metrics=metrics
-            )
         ctx = RecoveryContext(
             job_name=spec.name,
             cluster=runtime.cluster,
@@ -188,7 +177,6 @@ def run_supersteps(
             initial_state=initial_state,
             initial_workset=initial_workset,
             state_backend=state_backend,
-            execution_cache=cache,
         )
         ctx.persist(ctx.input_prefix, initial_state, initial_workset, charge=False)
         recovery.reset()
@@ -219,7 +207,7 @@ def run_supersteps(
                 superstep=superstep,
                 **loop.begin(),
             ) as superstep_span:
-                loop.step(bound_statics, cache, stats)
+                loop.step(bound_statics, stats)
                 if counter is not None:
                     stats.messages = metrics.get(counter) - messages_before
 

@@ -16,19 +16,17 @@ Flink on commodity machines). It provides:
   and failure mechanics,
 * :mod:`repro.runtime.failures` — failure schedules and injection,
 * :mod:`repro.runtime.executor` — execution of dataflow plans over
-  partitioned datasets,
+  partitioned datasets, with loop-invariant inputs placed and indexed
+  once per run,
 * :mod:`repro.runtime.state` — the keyed solution-set state backend of the
   delta-iteration driver (O(|delta|) superstep maintenance),
-* :mod:`repro.runtime.cache` — the superstep execution cache serving
-  loop-invariant work across supersteps,
 * :mod:`repro.runtime.kernels` — pure per-partition operator kernels.
 """
 
-from .cache import EXECUTION_CACHE_MODES, ChargeLog, SuperstepExecutionCache
 from .clock import CostCategory, SimulatedClock
 from .cluster import SimulatedCluster, Worker, WorkerState
 from .events import Event, EventKind, EventLog
-from .executor import PartitionedDataset, PlanExecutor
+from .executor import PartitionedDataset, PlanExecutor, StaticDataset
 from .failures import FailureEvent, FailureInjector, FailureSchedule
 from .metrics import IterationStats, MetricsRegistry, StatsSeries
 from .partition import HashPartitioner, Partitioner, RangePartitioner, stable_hash
@@ -36,9 +34,7 @@ from .state import KeyedStateBackend, StateBackend, record_matches
 from .storage import StableStorage
 
 __all__ = [
-    "ChargeLog",
     "CostCategory",
-    "EXECUTION_CACHE_MODES",
     "Event",
     "EventKind",
     "EventLog",
@@ -57,8 +53,8 @@ __all__ = [
     "SimulatedCluster",
     "StableStorage",
     "StateBackend",
+    "StaticDataset",
     "StatsSeries",
-    "SuperstepExecutionCache",
     "Worker",
     "WorkerState",
     "record_matches",

@@ -8,9 +8,7 @@ for each one we pin:
   identical superstep count;
 * confined and optimistic recovery reach the same final fixpoint
   (bit-identical for Connected Components' discrete labels, within the
-  convergence tolerance for PageRank's floats);
-* one confined run is bit-identical — records, supersteps, simulated
-  time, cost breakdown — across execution-cache transparent/off.
+  convergence tolerance for PageRank's floats).
 """
 
 import pytest
@@ -51,8 +49,8 @@ SETTINGS = settings(
 )
 
 
-def _config(cache="transparent"):
-    return EngineConfig(parallelism=PARALLELISM, spare_workers=8, execution_cache=cache)
+def _config():
+    return EngineConfig(parallelism=PARALLELISM, spare_workers=8)
 
 
 def _cc_job():
@@ -61,16 +59,6 @@ def _cc_job():
 
 def _pr_job():
     return pagerank(twitter_like_graph(48, seed=13), epsilon=1e-3)
-
-
-def _fingerprint(result):
-    return (
-        sorted(result.final_records),
-        result.supersteps,
-        result.clock.now,
-        result.clock.breakdown(),
-        result.converged,
-    )
 
 
 @SETTINGS
@@ -122,31 +110,3 @@ def test_pagerank_confined_and_optimistic_share_the_fixpoint(events):
     # tolerance; trajectories (and float round-off) differ by design
     for key, rank in conf.items():
         assert rank == pytest.approx(opt[key], abs=5e-3)
-
-
-@SETTINGS
-@given(events=failure_schedules)
-def test_confined_bit_identical_across_cache_modes(events):
-    schedule = FailureSchedule.at(*events)
-
-    def run(cache):
-        return _cc_job().run(
-            config=_config(cache), recovery=ConfinedRecovery(), failures=schedule
-        )
-
-    assert _fingerprint(run("transparent")) == _fingerprint(run("off"))
-
-
-@SETTINGS
-@given(events=failure_schedules)
-def test_pagerank_confined_bit_identical_across_cache_modes(events):
-    schedule = FailureSchedule.at(*events)
-
-    def run(cache):
-        return _pr_job().run(
-            config=_config(cache=cache),
-            recovery=ConfinedRecovery(),
-            failures=schedule,
-        )
-
-    assert _fingerprint(run("transparent")) == _fingerprint(run("off"))

@@ -1,10 +1,8 @@
 """The superstep driver's contract with the recovery SPI, in both modes.
 
-A spy strategy records every SPI call — and, by wrapping it in
-``on_start``, the driver's execution-cache invalidation — on one toy bulk
-job and one toy delta job. On the failed superstep the cache is
-invalidated, then ``recover`` sees the lost partitions as ``None`` while the context carries
-the complete pre-loss contents of exactly those partitions
+A spy strategy records every SPI call on one toy bulk job and one toy
+delta job. On the failed superstep ``recover`` sees the lost partitions
+as ``None`` while the context carries the complete pre-loss contents of exactly those partitions
 (``ctx.destroyed_state`` / ``ctx.destroyed_workset``) — and no longer
 carries them once ``recover`` returned; ``on_superstep_committed`` is not
 called for that superstep and the termination criterion is not consulted.
@@ -68,17 +66,6 @@ class SpyRecovery(RecoveryStrategy):
     def on_start(self, ctx):
         self.calls.append("on_start")
         self.ctx = ctx
-        if ctx.execution_cache is not None:
-            self._wrap(ctx.execution_cache, "invalidate")
-
-    def _wrap(self, target, method):
-        original = getattr(target, method)
-
-        def logged(*args, **kwargs):
-            self.calls.append(method)
-            return original(*args, **kwargs)
-
-        setattr(target, method, logged)
 
     @staticmethod
     def _lost_view(dataset, lost):
@@ -171,7 +158,6 @@ def test_spi_order_on_a_failed_superstep(mode):
     expected = [
         "on_start",
         *before,
-        "invalidate",
         f"recover:{FAILED_SUPERSTEP}",
         *after,
     ]
