@@ -33,8 +33,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from ..core.compensation import CompensationContext, CompensationFunction
 from ..core.guarantees import KeySetPreserved
 from ..dataflow.datatypes import KeySpec
@@ -75,6 +73,8 @@ def _solve_block(
 ) -> tuple[float, ...]:
     """Solve one regularized least-squares block: given ``(rating,
     other-side vector)`` pairs, return the minimizing factor."""
+    import numpy as np  # deferred: importing the package stays light
+
     gram = np.zeros((rank, rank))
     rhs = np.zeros(rank)
     for rating, vector in pairs:

@@ -33,8 +33,6 @@ from __future__ import annotations
 import math
 from typing import Any
 
-import numpy as np
-
 from ..core.compensation import CompensationContext, CompensationFunction
 from ..core.guarantees import KeySetPreserved
 from ..dataflow.datatypes import KeySpec, first_field
@@ -158,6 +156,8 @@ def exact_hits(
     graph: Graph, epsilon: float = 1e-12, max_iterations: int = 10_000
 ) -> dict[int, tuple[float, float]]:
     """Reference HITS by dense normalized power iteration (numpy)."""
+    import numpy as np  # deferred: importing the package stays light
+
     vertices = graph.vertices
     n = len(vertices)
     if n == 0:

@@ -5,6 +5,8 @@ plot how many vertices have converged. These functions are that
 precomputation — deliberately implemented *without* the dataflow engine
 (union-find, numpy power iteration, BFS, plain Lloyd's algorithm) so that
 agreement with the engine is a real correctness signal, not a tautology.
+numpy is imported by the functions that use it, so importing the
+algorithms does not load it.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import collections
 import math
 from typing import Sequence
-
-import numpy as np
 
 from ..errors import GraphError
 from ..graph.graph import Graph
@@ -31,15 +31,18 @@ def exact_pagerank(
     epsilon: float = 1e-12,
     max_iterations: int = 10_000,
 ) -> dict[int, float]:
-    """PageRank by dense power iteration (numpy).
+    """PageRank by sparse power iteration (numpy) over the edge arrays.
 
     Uses the same update rule as the dataflow job: uniform teleport,
     dangling mass redistributed uniformly over all vertices::
 
         r' = (1 - d)/n + d * (P^T r + dangling_mass / n)
 
-    so the two converge to the same vector up to ``epsilon``.
+    so the two converge to the same vector up to ``epsilon``. ``P^T r``
+    is one ``bincount`` over the edges, so time and memory are O(V + E).
     """
+    import numpy as np  # deferred: importing the package stays light
+
     if not 0.0 < damping < 1.0:
         raise GraphError(f"damping must be in (0, 1), got {damping}")
     vertices = graph.vertices
@@ -48,16 +51,16 @@ def exact_pagerank(
         return {}
     index = {v: i for i, v in enumerate(vertices)}
     out_degree = graph.out_degrees()
-    transition = np.zeros((n, n))
-    for source, target, probability in graph.transition_records():
-        transition[index[target], index[source]] = probability
+    records = graph.transition_records()
+    sources = np.array([index[source] for source, _, _ in records], dtype=np.intp)
+    targets = np.array([index[target] for _, target, _ in records], dtype=np.intp)
+    probabilities = np.array([probability for _, _, probability in records], dtype=float)
     dangling = np.array([1.0 if out_degree[v] == 0 else 0.0 for v in vertices])
     ranks = np.full(n, 1.0 / n)
     for _ in range(max_iterations):
         dangling_mass = float(dangling @ ranks)
-        new_ranks = (1.0 - damping) / n + damping * (
-            transition @ ranks + dangling_mass / n
-        )
+        spread = np.bincount(targets, weights=probabilities * ranks[sources], minlength=n)
+        new_ranks = (1.0 - damping) / n + damping * (spread + dangling_mass / n)
         if float(np.abs(new_ranks - ranks).sum()) < epsilon:
             ranks = new_ranks
             break
@@ -97,6 +100,8 @@ def exact_kmeans(
     """
     if iterations < 0:
         raise GraphError(f"iterations must be >= 0, got {iterations}")
+    import numpy as np  # deferred: importing the package stays light
+
     data = np.asarray(points, dtype=float)
     centroids = np.asarray(initial_centroids, dtype=float)
     if data.ndim != 2 or centroids.ndim != 2 or data.shape[1] != centroids.shape[1]:
@@ -118,6 +123,8 @@ def kmeans_inertia(
     """Sum of squared distances of each point to its nearest centroid —
     the objective Lloyd's algorithm monotonically decreases, used by the
     tests as a convergence oracle."""
+    import numpy as np  # deferred: importing the package stays light
+
     data = np.asarray(points, dtype=float)
     centers = np.asarray(centroids, dtype=float)
     distances = np.linalg.norm(data[:, None, :] - centers[None, :, :], axis=2)

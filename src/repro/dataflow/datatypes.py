@@ -11,6 +11,7 @@ applies to its co-located solution sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Hashable
 
 
@@ -41,19 +42,11 @@ class KeySpec:
         return f"KeySpec({self.name!r})"
 
 
-def _extract_first(record: Any) -> Hashable:
-    return record[0]
-
-
-def _extract_second(record: Any) -> Hashable:
-    return record[1]
-
-
 def first_field(name: str = "field0") -> KeySpec:
     """Key on ``record[0]`` — the library-wide convention for vertex ids."""
-    return KeySpec(name, _extract_first)
+    return KeySpec(name, itemgetter(0))
 
 
 def second_field(name: str = "field1") -> KeySpec:
     """Key on ``record[1]`` (e.g. the target vertex of an edge tuple)."""
-    return KeySpec(name, _extract_second)
+    return KeySpec(name, itemgetter(1))

@@ -6,15 +6,18 @@ class form exists so stateless UDFs can carry a name and be unit-tested in
 isolation, matching how the paper's dataflows name their functions
 (``candidate-label``, ``fix-ranks``, ...).
 
-Each wrapper is a thin callable adapter; the executor only ever calls the
-instance, so subclasses override :meth:`apply` (or the method named after
-their role).
+Each wrapper is a thin callable adapter. Subclasses override
+:meth:`apply` and the executor calls the instance. For a wrapper of
+exactly one of these classes built with ``fn=``, the executor calls
+``fn`` directly and skips the adapter frames
+(:mod:`repro.runtime.executor`).
 """
 
 from __future__ import annotations
 
 from abc import ABC
-from typing import Any, Callable, Iterable, Iterator
+from collections.abc import Iterator
+from typing import Any, Callable, Iterable
 
 
 class _NamedFunction(ABC):

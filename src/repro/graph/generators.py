@@ -1,8 +1,11 @@
 """Deterministic graph generators.
 
-All randomized generators take an explicit seed and build the graph with
-:mod:`networkx` (relabeled to contiguous integer ids), so every experiment
-is exactly reproducible.
+All randomized generators take an explicit seed, so every experiment is
+exactly reproducible. :func:`erdos_renyi_graph` and
+:func:`multi_component_graph` build the graph with :mod:`networkx`
+(relabeled to contiguous integer ids), imported when called;
+:func:`twitter_like_graph` reproduces networkx's Barabási–Albert
+generator draw for draw, so it needs no networkx at all.
 
 :func:`demo_graph` is the reproduction's "small hand-crafted graph"
 (§3.1): three connected components of different shapes, small enough to
@@ -13,7 +16,7 @@ in-degree distribution (see the substitution notes in DESIGN.md).
 
 from __future__ import annotations
 
-import networkx as nx
+import random
 
 from ..errors import GraphError
 from .graph import Graph
@@ -70,6 +73,8 @@ def multi_component_graph(
     """
     if num_components < 1 or component_size < 1:
         raise GraphError("num_components and component_size must be >= 1")
+    import networkx as nx  # deferred: importing the package stays light
+
     rng = nx.utils.create_random_state(seed)
     edges: list[tuple[int, int]] = []
     for component in range(num_components):
@@ -119,6 +124,8 @@ def erdos_renyi_graph(num_vertices: int, probability: float, seed: int = 7) -> G
     """A G(n, p) random graph (undirected)."""
     if not 0.0 <= probability <= 1.0:
         raise GraphError(f"probability must be in [0, 1], got {probability}")
+    import networkx as nx  # deferred: importing the package stays light
+
     generated = nx.gnp_random_graph(num_vertices, probability, seed=seed)
     return Graph(range(num_vertices), generated.edges(), directed=False)
 
@@ -137,11 +144,46 @@ def twitter_like_graph(num_vertices: int, attachment: int = 3, seed: int = 7) ->
         raise GraphError(
             f"num_vertices ({num_vertices}) must exceed attachment ({attachment})"
         )
-    base = nx.barabasi_albert_graph(num_vertices, attachment, seed=seed)
     edges: list[tuple[int, int]] = []
-    for u, v in base.edges():
+    for u, v in _barabasi_albert_edges(num_vertices, attachment, seed):
         newer, older = max(u, v), min(u, v)
         edges.append((newer, older))
         if (newer + older) % 10 < 3:  # deterministic 30% reciprocity
             edges.append((older, newer))
     return Graph(range(num_vertices), edges, directed=True)
+
+
+def _barabasi_albert_edges(num_vertices: int, attachment: int, seed: int) -> list[tuple[int, int]]:
+    """The edges of ``networkx.barabasi_albert_graph(n, m, seed=seed)``,
+    in the order its ``edges()`` lists them.
+
+    The same algorithm with the same ``random.Random(seed)`` draws: a star
+    on ``m + 1`` vertices, then each new vertex attaches to ``m`` distinct
+    vertices drawn with probability proportional to degree. Adjacency
+    dicts keep networkx's insertion order, so the edge list (and every
+    graph built from it) is identical without importing networkx, the
+    largest import of a process that only runs PageRank.
+    """
+    if attachment < 1:
+        raise GraphError(f"attachment must be >= 1, got {attachment}")
+    rng = random.Random(seed)
+    adjacency: dict[int, dict[int, None]] = {0: dict.fromkeys(range(1, attachment + 1))}
+    for spoke in range(1, attachment + 1):
+        adjacency[spoke] = {0: None}
+    # every vertex once per incident edge: a uniform draw is a degree-weighted one
+    repeated = [v for v, neighbors in adjacency.items() for _ in neighbors]
+    for source in range(attachment + 1, num_vertices):
+        targets: set[int] = set()
+        while len(targets) < attachment:
+            targets.add(rng.choice(repeated))
+        adjacency[source] = dict.fromkeys(targets)
+        for target in targets:
+            adjacency[target][source] = None
+        repeated.extend(targets)
+        repeated.extend([source] * attachment)
+    edges: list[tuple[int, int]] = []
+    done: set[int] = set()
+    for vertex, neighbors in adjacency.items():
+        edges.extend((vertex, neighbor) for neighbor in neighbors if neighbor not in done)
+        done.add(vertex)
+    return edges

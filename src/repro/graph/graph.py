@@ -25,8 +25,8 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         directed: bool = False,
     ):
-        self._vertices: list[int] = sorted(set(vertices))
-        vertex_set = set(self._vertices)
+        vertex_set = set(vertices)
+        self._vertices: list[int] = sorted(vertex_set)
         seen: set[tuple[int, int]] = set()
         self._edges: list[tuple[int, int]] = []
         for edge in edges:
@@ -35,12 +35,16 @@ class Graph:
                 raise GraphError(f"edge {edge!r} references an unknown vertex")
             if source == target:
                 raise GraphError(f"self-loop {edge!r} is not supported")
-            canonical = (source, target) if directed else (min(source, target), max(source, target))
+            if directed or source < target:
+                canonical = (source, target)
+            else:
+                canonical = (target, source)
             if canonical in seen:
                 continue
             seen.add(canonical)
             self._edges.append(canonical)
-        if any(v < 0 for v in self._vertices):
+        # sorted ascending, so the first vertex is the smallest
+        if self._vertices and self._vertices[0] < 0:
             raise GraphError("vertex ids must be non-negative integers")
         self.directed = directed
         self._adjacency: dict[int, list[int]] | None = None

@@ -20,6 +20,10 @@ Loop-invariant inputs arrive as :class:`StaticDataset` — Flink's
 Flows*): a static is re-placed and indexed once per run and the result
 stays resident, while every superstep is still charged the exchange it
 models, from the resident placement's partition sizes.
+
+Kernels run a callable once per record, so the executor hands them raw
+callables: a stock UDF wrapper's own function (:func:`_udf`) and a key
+spec's extractor, rather than the adapters around them.
 """
 
 from __future__ import annotations
@@ -29,6 +33,16 @@ from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from ..dataflow.datatypes import KeySpec
+from ..dataflow.functions import (
+    CoGroupFunction,
+    CrossFunction,
+    FilterFunction,
+    FlatMapFunction,
+    GroupReduceFunction,
+    JoinFunction,
+    MapFunction,
+    ReduceFunction,
+)
 from ..dataflow.operators import (
     CoGroupOperator,
     CrossOperator,
@@ -50,6 +64,35 @@ from . import kernels
 from .clock import SimulatedClock
 from .metrics import MetricsRegistry
 from .partition import HashPartitioner
+
+#: the UDF wrappers whose ``apply`` only forwards to ``fn=``. A subclass
+#: may override ``apply`` (the optimizer's fused chains do), so the
+#: check is on the exact type.
+_STOCK_UDFS = frozenset(
+    {
+        MapFunction,
+        FlatMapFunction,
+        FilterFunction,
+        ReduceFunction,
+        GroupReduceFunction,
+        JoinFunction,
+        CoGroupFunction,
+        CrossFunction,
+    }
+)
+
+
+def _udf(fn: Any) -> Any:
+    """The callable a kernel should call per record in place of ``fn``.
+
+    A stock wrapper built with ``fn=`` gives that function. Anything
+    else, a wrapper subclass included, is called as it is. (A stock
+    ``FilterFunction`` also applies ``bool``; the filter kernel tests
+    truthiness, which is the same.)
+    """
+    if type(fn) in _STOCK_UDFS and fn._fn is not None:
+        return fn._fn
+    return fn
 
 
 @dataclass
@@ -191,7 +234,7 @@ class StaticDataset(PartitionedDataset):
         placed = self._placements.get(key)
         if placed is None:
             parts = kernels.route_kernel(
-                chain.from_iterable(self.partitions), key, self.num_partitions
+                chain.from_iterable(self.partitions), key.extractor, self.num_partitions
             )
             placed = self._placements[key] = StaticDataset(parts, key)
         return placed
@@ -371,7 +414,7 @@ class PlanExecutor:
             result: PartitionedDataset = dataset.placed_by(key)
         else:
             parts = kernels.route_kernel(
-                chain.from_iterable(dataset.partitions), key, self.parallelism
+                chain.from_iterable(dataset.partitions), key.extractor, self.parallelism
             )
             result = PartitionedDataset(partitions=parts, partitioned_by=key)
         self._charge_exchange(op_name, [len(part) for part in result.partitions])
@@ -426,16 +469,14 @@ class PlanExecutor:
 
     def _run_map(self, op: MapOperator, data: PartitionedDataset) -> PartitionedDataset:
         self._count_in(op, data.num_records())
-        parts = self._dispatch(
-            kernels.map_kernel, [(part, op.fn) for part in data.partitions]
-        )
+        fn = _udf(op.fn)
+        parts = self._dispatch(kernels.map_kernel, [(part, fn) for part in data.partitions])
         return PartitionedDataset(partitions=parts, partitioned_by=None)
 
     def _run_flat_map(self, op: FlatMapOperator, data: PartitionedDataset) -> PartitionedDataset:
         self._count_in(op, data.num_records())
-        parts = self._dispatch(
-            kernels.flat_map_kernel, [(part, op.fn) for part in data.partitions]
-        )
+        fn = _udf(op.fn)
+        parts = self._dispatch(kernels.flat_map_kernel, [(part, fn) for part in data.partitions])
         # Placement survives only when the operator declares it never
         # rewrites records (e.g. a fused filter-only chain).
         partitioned_by = data.partitioned_by if op.preserves_partitioning else None
@@ -443,9 +484,8 @@ class PlanExecutor:
 
     def _run_filter(self, op: FilterOperator, data: PartitionedDataset) -> PartitionedDataset:
         self._count_in(op, data.num_records())
-        parts = self._dispatch(
-            kernels.filter_kernel, [(part, op.fn) for part in data.partitions]
-        )
+        fn = _udf(op.fn)
+        parts = self._dispatch(kernels.filter_kernel, [(part, fn) for part in data.partitions])
         # A filter never rewrites records, so hash placement survives.
         return PartitionedDataset(partitions=parts, partitioned_by=data.partitioned_by)
 
@@ -453,9 +493,10 @@ class PlanExecutor:
         self, op: ReduceByKeyOperator, data: PartitionedDataset
     ) -> PartitionedDataset:
         """Pre-fold each partition by key before the shuffle."""
+        key, fn = op.key.extractor, _udf(op.fn)
         parts = self._dispatch(
             kernels.fold_by_key_kernel,
-            [(part, op.key, op.fn) for part in data.partitions],
+            [(part, key, fn) for part in data.partitions],
         )
         return PartitionedDataset(partitions=parts, partitioned_by=data.partitioned_by)
 
@@ -466,9 +507,10 @@ class PlanExecutor:
         if self.combiners and data.partitioned_by != op.key:
             data = self._combine_locally(op, data)
         data = self._shuffle(data, op.key, op.name)
+        key, fn = op.key.extractor, _udf(op.fn)
         parts = self._dispatch(
             kernels.fold_by_key_kernel,
-            [(part, op.key, op.fn) for part in data.partitions],
+            [(part, key, fn) for part in data.partitions],
         )
         # Contract: the reduce function preserves the key field, so the
         # output remains partitioned by the same key.
@@ -479,9 +521,10 @@ class PlanExecutor:
     ) -> PartitionedDataset:
         self._count_in(op, data.num_records())
         data = self._shuffle(data, op.key, op.name)
+        key, fn = op.key.extractor, _udf(op.fn)
         parts = self._dispatch(
             kernels.group_reduce_kernel,
-            [(part, op.key, op.fn) for part in data.partitions],
+            [(part, key, fn) for part in data.partitions],
         )
         # Group reducers may emit arbitrary records; placement is unknown.
         return PartitionedDataset(partitions=parts, partitioned_by=None)
@@ -499,21 +542,23 @@ class PlanExecutor:
         self._count_in(op, left.num_records() + right.num_records())
         left = self._shuffle(left, op.left_key, op.name)
         right = self._shuffle(right, op.right_key, op.name)
+        left_key, fn = op.left_key.extractor, _udf(op.fn)
         if isinstance(right, StaticDataset):
             # Static build side: probe its resident index.
             parts = self._dispatch(
                 kernels.probe_join_kernel,
                 [
-                    (left_part, table, op.left_key, op.fn)
+                    (left_part, table, left_key, fn)
                     for left_part, table in zip(left.partitions, right.index(op.right_key))
                 ],
             )
         else:
             # Dynamic build side: fuse build+probe in one kernel.
+            right_key = op.right_key.extractor
             parts = self._dispatch(
                 kernels.hash_join_kernel,
                 [
-                    (left_part, right_part, op.left_key, op.right_key, op.fn)
+                    (left_part, right_part, left_key, right_key, fn)
                     for left_part, right_part in zip(left.partitions, right.partitions)
                 ],
             )
@@ -525,10 +570,11 @@ class PlanExecutor:
         self._count_in(op, left.num_records() + right.num_records())
         left = self._shuffle(left, op.left_key, op.name)
         right = self._shuffle(right, op.right_key, op.name)
+        left_key, right_key, fn = op.left_key.extractor, op.right_key.extractor, _udf(op.fn)
         parts = self._dispatch(
             kernels.co_group_kernel,
             [
-                (lhs, rhs, op.left_key, op.right_key, op.fn, False, False)
+                (lhs, rhs, left_key, right_key, fn, False, False)
                 for lhs, rhs in zip(left.partitions, right.partitions)
             ],
         )
@@ -546,8 +592,9 @@ class PlanExecutor:
         broadcast = self._broadcast_side(op, right)
         pairs = left.num_records() * len(broadcast)
         self._count_in(op, pairs)
+        fn = _udf(op.fn)
         parts = self._dispatch(
-            kernels.cross_kernel, [(part, broadcast, op.fn) for part in left.partitions]
+            kernels.cross_kernel, [(part, broadcast, fn) for part in left.partitions]
         )
         return PartitionedDataset(partitions=parts, partitioned_by=None)
 

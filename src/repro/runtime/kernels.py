@@ -5,6 +5,10 @@ output partition. Kernels are deliberately *pure*: they touch no clock,
 no metrics registry, no tracer and no executor state. The executor calls
 them in the driver thread and charges every simulated cost from record
 counts it computes itself.
+
+Every callable argument is called once per record, so the executor
+hands kernels raw callables (a UDF's own function, a key spec's
+extractor) rather than adapters around them; any callable works.
 """
 
 from __future__ import annotations
@@ -67,7 +71,9 @@ def route_kernel(part: Iterable[Any], key: Callable[[Any], Any], num_partitions:
     buckets: list[list[Any]] = [[] for _ in range(num_partitions)]
     appends = [bucket.append for bucket in buckets]
     for record in part:
-        appends[stable_hash(key(record)) % num_partitions](record)
+        k = key(record)
+        # an int is its own stable hash (bool is not: type(True) is bool)
+        appends[(k if type(k) is int else stable_hash(k)) % num_partitions](record)
     return buckets
 
 
@@ -89,12 +95,21 @@ def probe_join_kernel(
     key: Callable[[Any], Any],
     fn: Callable[[Any, Any], Any],
 ):
-    """Probe a pre-built hash table with every record of ``part``."""
+    """Probe a pre-built hash table with every record of ``part``.
+
+    A plain ``tuple`` result is one record and is appended as is; any
+    other result is normalised by :func:`emitted`. The other join and the
+    cross kernel emit the same way.
+    """
     out: list[Any] = []
-    get = table.get
+    append, get = out.append, table.get
     for record in part:
         for match in get(key(record), ()):
-            out.extend(emitted(fn(record, match)))
+            value = fn(record, match)
+            if type(value) is tuple:
+                append(value)
+            elif value is not None:
+                out.extend(emitted(value))
     return out
 
 
@@ -110,10 +125,14 @@ def hash_join_kernel(
     for record in right_part:
         table.setdefault(right_key(record), []).append(record)
     out: list[Any] = []
-    get = table.get
+    append, get = out.append, table.get
     for record in left_part:
         for match in get(left_key(record), ()):
-            out.extend(emitted(fn(record, match)))
+            value = fn(record, match)
+            if type(value) is tuple:
+                append(value)
+            elif value is not None:
+                out.extend(emitted(value))
     return out
 
 
@@ -154,7 +173,12 @@ def co_group_kernel(
 def cross_kernel(part: list[Any], broadcast: list[Any], fn: Callable[[Any, Any], Any]):
     """Cross one partition with the broadcast side."""
     out: list[Any] = []
+    append = out.append
     for record in part:
         for other in broadcast:
-            out.extend(emitted(fn(record, other)))
+            value = fn(record, other)
+            if type(value) is tuple:
+                append(value)
+            elif value is not None:
+                out.extend(emitted(value))
     return out

@@ -39,6 +39,33 @@ class TestExactPageRank:
         for vertex in graph.vertices:
             assert ours[vertex] == pytest.approx(theirs[vertex], abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [twitter_like_graph(300, seed=5), demo_pagerank_graph(), demo_graph(), star_graph(6)],
+        ids=["twitter-300", "demo-pagerank", "demo-undirected", "star"],
+    )
+    def test_matches_the_dense_power_iteration(self, graph):
+        """The sparse iteration sums each column in another order than a
+        dense matrix product, so the two agree to rounding, not bit for bit."""
+        import numpy as np
+
+        n, index = graph.num_vertices, {v: i for i, v in enumerate(graph.vertices)}
+        transition = np.zeros((n, n))
+        for source, target, probability in graph.transition_records():
+            transition[index[target], index[source]] = probability
+        out_degree = graph.out_degrees()
+        dangling = np.array([1.0 if out_degree[v] == 0 else 0.0 for v in graph.vertices])
+        ranks = np.full(n, 1.0 / n)
+        for _ in range(10_000):
+            new_ranks = 0.15 / n + 0.85 * (transition @ ranks + float(dangling @ ranks) / n)
+            done = float(np.abs(new_ranks - ranks).sum()) < 1e-12
+            ranks = new_ranks
+            if done:
+                break
+        ours = exact_pagerank(graph)
+        for vertex in graph.vertices:
+            assert ours[vertex] == pytest.approx(ranks[index[vertex]], rel=0, abs=1e-14)
+
     def test_star_hub_dominates(self):
         ranks = exact_pagerank(star_graph(10))
         hub = ranks[0]

@@ -118,6 +118,24 @@ class TestRandomGenerators:
         with pytest.raises(GraphError):
             twitter_like_graph(3, attachment=3)
 
+    def test_twitter_like_rejects_zero_attachment(self):
+        with pytest.raises(GraphError):
+            twitter_like_graph(10, attachment=0)
+
+    @pytest.mark.parametrize("num_vertices, attachment", [(4, 3), (60, 1), (800, 3), (3000, 3), (200, 5)])
+    @pytest.mark.parametrize("seed", [0, 7, 12345, 2**32 - 1])
+    def test_preferential_attachment_matches_networkx_edge_for_edge(
+        self, num_vertices, attachment, seed
+    ):
+        """The in-house Barabási–Albert generator reproduces networkx's
+        graph and its edge order, so every graph built on it is unchanged."""
+        import networkx as nx
+
+        from repro.graph.generators import _barabasi_albert_edges
+
+        theirs = nx.barabasi_albert_graph(num_vertices, attachment, seed=seed)
+        assert _barabasi_albert_edges(num_vertices, attachment, seed) == list(theirs.edges())
+
     def test_degree_statistics_shape(self):
         stats = degree_statistics(twitter_like_graph(150, seed=2))
         assert stats["max"] > stats["mean"] > 0

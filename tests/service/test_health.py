@@ -35,7 +35,8 @@ def telemetry_on(**overrides) -> TelemetryConfig:
 
 class TestHealthShape:
     def test_health_without_telemetry(self):
-        with service() as svc:
+        # explicit, so the test does not inherit $REPRO_TELEMETRY
+        with service(telemetry=TelemetryConfig(enabled=False)) as svc:
             svc.run_all([cc_spec(), cc_spec(name="cc2")])
             health = svc.health()
         assert health["accepting"] is True  # captured before the drain
@@ -239,7 +240,7 @@ class TestHealthLifecycleEdges:
         assert render_status(health)
 
     def test_health_after_shutdown_of_idle_service(self):
-        svc = service()
+        svc = service(telemetry=TelemetryConfig(enabled=False))
         svc.shutdown()
         health = svc.health()
         assert health["accepting"] is False

@@ -65,3 +65,24 @@ def test_every_strategy_is_exported():
         "RestartRecovery",
     ):
         assert strategy in core.__all__
+
+
+def test_importing_the_packages_leaves_numpy_and_networkx_unloaded():
+    """numpy and networkx are imported by the functions that use them,
+    so the CLI, the service and every engine process start without them."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, repro.graph, repro.algorithms, repro.service, repro.demo.cli; "
+        "print(sorted({'numpy', 'networkx'} & set(sys.modules)))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.strip() == "[]"
